@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cstring>
 
+#include <sanitizer/asan_interface.h>  // (un)poison macros; no-ops without ASan
+
 #include "common/crc32.hpp"
 
 namespace rhik::flash {
@@ -26,6 +28,7 @@ NandDevice::NandDevice(Geometry geometry, NandLatency latency, SimClock* clock)
   assert(geometry_.valid());
   assert(geometry_.spare_size() >= kSpareReservedTail + 2);  // room for tag + tail
   assert(clock_ != nullptr);
+  free_stores_.reserve(kMaxFreeStores);
 }
 
 void NandDevice::power_cycle() noexcept {
@@ -112,13 +115,23 @@ Status NandDevice::program_page(Ppa ppa, ByteSpan data, ByteSpan spare) {
 
   if (!b.store) {
     const std::size_t bytes = page_stride() * geometry_.pages_per_block;
-    b.store = std::make_unique<std::uint8_t[]>(bytes);
-    std::memset(b.store.get(), 0xFF, bytes);  // erased state
+    if (free_stores_.empty()) {
+      b.store = std::make_unique_for_overwrite<std::uint8_t[]>(bytes);
+    } else {
+      b.store = std::move(free_stores_.back());
+      free_stores_.pop_back();
+      ASAN_UNPOISON_MEMORY_REGION(b.store.get(), bytes);
+    }
   }
+  // The whole page image is written here — input, then the erased (0xFF)
+  // tail of each area — so neither an uninitialised nor a recycled
+  // buffer leaks into what a read or the CRC sees.
   std::uint8_t* dst = page_ptr(b, pg);
   std::uint8_t* sp = dst + geometry_.page_size;
   if (!data.empty()) std::memcpy(dst, data.data(), data.size());
+  std::memset(dst + data.size(), 0xFF, geometry_.page_size - data.size());
   if (!spare.empty()) std::memcpy(sp, spare.data(), spare.size());
+  std::memset(sp + spare.size(), 0xFF, geometry_.spare_size() - spare.size());
 
   // Controller stamp in the reserved spare tail: wear (for recovery of
   // the volatile wear RAM) and a CRC over the stored page image, the
@@ -135,10 +148,9 @@ Status NandDevice::program_page(Ppa ppa, ByteSpan data, ByteSpan spare) {
     // Power died mid-program: the intended image may be partially or
     // garbage-latched (policy), the op is never acknowledged, and no
     // latency/stat accrues — the controller that would report it is off.
+    // A page left erased stays past write_point, where it is never read.
     if (injector_->tear_page(MutByteSpan{dst, geometry_.page_size}, sps)) {
       b.write_point = pg + 1;
-    } else {
-      std::memset(dst, 0xFF, page_stride());
     }
     return Status::kIoError;
   }
@@ -161,20 +173,32 @@ Status NandDevice::erase_block(std::uint32_t block) {
     // (block reads erased) or never started. Either way the host never
     // saw an acknowledgement.
     if (injector_->erase_completed()) {
-      b.store.reset();
+      release_store(b);
       b.write_point = 0;
       b.erase_count++;
     }
     return Status::kIoError;
   }
 
-  b.store.reset();
+  release_store(b);
   b.write_point = 0;
   b.erase_count++;
 
   stats_.block_erases++;
   clock_->advance(latency_.erase_cost());
   return Status::kOk;
+}
+
+void NandDevice::release_store(Block& b) noexcept {
+  if (!b.store) return;
+  if (free_stores_.size() >= kMaxFreeStores) {
+    b.store.reset();
+    return;
+  }
+  // A read_page_view held across the erase must trap, as it did when
+  // erase freed the buffer.
+  ASAN_POISON_MEMORY_REGION(b.store.get(), page_stride() * geometry_.pages_per_block);
+  free_stores_.push_back(std::move(b.store));
 }
 
 bool NandDevice::is_programmed(Ppa ppa) const {

@@ -4,9 +4,13 @@
 // imitates (§IV-C): erase blocks of program-once pages with a main data
 // area and a spare (out-of-band) area, erase-before-program discipline,
 // in-order page programming within a block, and per-operation latency
-// charged to a simulated clock. Page storage is allocated lazily on first
-// program and released on erase, so host memory tracks *live* emulated
-// data, not raw device capacity.
+// charged to a simulated clock. Block storage is allocated lazily on the
+// block's first program, so host memory tracks *written* emulated data,
+// not raw device capacity. An erase parks the block's buffer on a small
+// fixed-size free list that the next first program reuses, so a GC cycle
+// costs no allocation or page faults; bytes at or past a block's write
+// point are never readable, so a recycled buffer's stale contents are
+// never observed (program_page writes a page's whole image).
 #pragma once
 
 #include <cstdint>
@@ -72,7 +76,10 @@ class NandDevice {
   /// latency, stats and fault-injection are charged exactly as a
   /// read_page of the same lengths. The views are valid until the page's
   /// block is erased (or the device destroyed); callers that need the
-  /// bytes past the next erase must copy.
+  /// bytes past the next erase must copy. An erased block's buffer may be
+  /// recycled for another block, so a stale view would read another
+  /// block's bytes; AddressSanitizer builds poison parked buffers so such
+  /// a read traps.
   static constexpr std::uint32_t kFullArea = UINT32_MAX;
   Status read_page_view(Ppa ppa, ByteSpan* data_out, ByteSpan* spare_out = nullptr,
                         std::uint32_t data_len = kFullArea,
@@ -86,7 +93,8 @@ class NandDevice {
   /// block's erase count and the page CRC (see kSpareReservedTail).
   Status program_page(Ppa ppa, ByteSpan data, ByteSpan spare = {});
 
-  /// Erases a whole block, releasing its page storage.
+  /// Erases a whole block; its storage goes to the free list (or is
+  /// released when the list is full).
   Status erase_block(std::uint32_t block);
 
   /// True if the page has been programmed since its block's last erase.
@@ -113,6 +121,10 @@ class NandDevice {
 
   void reset_stats() noexcept { stats_ = {}; }
 
+  /// Erased block buffers parked for reuse (at most kMaxFreeStores).
+  static constexpr std::size_t kMaxFreeStores = 4;
+  [[nodiscard]] std::size_t free_stores() const noexcept { return free_stores_.size(); }
+
   /// Installs (or removes, with nullptr) a power-cut fault injector. Not
   /// owned; must outlive the device or be detached first.
   void set_fault_injector(FaultInjector* injector) noexcept { injector_ = injector; }
@@ -137,8 +149,12 @@ class NandDevice {
     std::uint32_t write_point = 0;
     std::uint32_t erase_count = 0;
     /// Lazily allocated page storage: [page][data..spare] contiguous.
+    /// Only pages below write_point hold defined bytes.
     std::unique_ptr<std::uint8_t[]> store;
   };
+
+  /// Returns an erased block's storage to the free list.
+  void release_store(Block& b) noexcept;
 
   [[nodiscard]] std::size_t page_stride() const noexcept {
     return geometry_.page_size + geometry_.spare_size();
@@ -154,6 +170,9 @@ class NandDevice {
   NandLatency latency_;
   SimClock* clock_;
   std::vector<Block> blocks_;
+  /// Erased block buffers kept for reuse. A GC cycle erases one victim
+  /// and opens one block at a time, so a handful covers bursts.
+  std::vector<std::unique_ptr<std::uint8_t[]>> free_stores_;
   NandStats stats_;
   FaultInjector* injector_ = nullptr;
 };

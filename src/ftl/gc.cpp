@@ -184,14 +184,14 @@ Status GarbageCollector::relocate_pages(std::uint32_t block, std::uint32_t* page
                                         std::uint32_t max_pages) {
   const auto& g = nand_->geometry();
   const std::uint32_t used = alloc_->pages_used(block);
-  Bytes spare(g.spare_size());
 
   std::uint32_t budget = max_pages;
   std::uint32_t pg = *page;
   for (; pg < used && budget > 0; ++pg, --budget) {
     const Ppa ppa = flash::make_ppa(g, block, pg);
     if (!nand_->is_programmed(ppa)) continue;  // abandoned extent tail
-    if (Status s = nand_->read_page(ppa, {}, spare); !ok(s)) {
+    ByteSpan spare;
+    if (Status s = nand_->read_page_view(ppa, nullptr, &spare); !ok(s)) {
       *page = pg;
       return s;
     }
@@ -228,8 +228,10 @@ Status GarbageCollector::relocate_pages(std::uint32_t block, std::uint32_t* page
 
 Status GarbageCollector::relocate_data_head(Ppa ppa) {
   const auto& g = nand_->geometry();
-  Bytes page(g.page_size);
-  if (Status s = nand_->read_page(ppa, page); !ok(s)) return s;
+  // Zero-copy: the victim is erased only in finish_victim, after every
+  // page of it has been relocated, so the view outlives this function.
+  ByteSpan page;
+  if (Status s = nand_->read_page_view(ppa, &page); !ok(s)) return s;
   const auto pairs = parse_head_page(page, g.page_size);
   if (!pairs) return Status::kCorruption;
 

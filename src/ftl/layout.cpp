@@ -126,14 +126,24 @@ bool DataPageBuilder::contains(std::uint64_t sig) const noexcept {
 }
 
 ByteSpan DataPageBuilder::finalize() {
+  // The gap between the last pair and the footer reads erased (0xFF).
+  // Pairs grow up and the footer grows down, so once filled the gap stays
+  // filled until reset(): later appends land below the old footer and
+  // finalize rewrites every footer slot it covers.
+  if (!gap_filled_) {
+    const std::size_t footer_lo = page_size_ - PageFooter::size_for(sigs_.size());
+    std::fill(buf_.begin() + static_cast<std::ptrdiff_t>(write_off_),
+              buf_.begin() + static_cast<std::ptrdiff_t>(footer_lo), 0xFF);
+    gap_filled_ = true;
+  }
   PageFooter::encode(buf_, sigs_);
   return buf_;
 }
 
 void DataPageBuilder::reset() {
-  std::fill(buf_.begin(), buf_.end(), 0xFF);
   sigs_.clear();
   write_off_ = 0;
+  gap_filled_ = false;
 }
 
 std::optional<std::vector<ParsedPair>> parse_head_page(ByteSpan page,

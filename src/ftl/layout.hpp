@@ -166,12 +166,12 @@ class DataPageBuilder {
   /// True if a pair or tombstone with this signature is buffered here.
   [[nodiscard]] bool contains(std::uint64_t sig) const noexcept;
 
-  /// Finalizes the footer and returns the full page image.
+  /// Finalizes the footer and returns the full page image: pairs, an
+  /// erased (0xFF) gap, footer. May be called again after more appends.
   [[nodiscard]] ByteSpan finalize();
 
-  /// Raw in-progress image (for serving reads from the open page buffer).
-  [[nodiscard]] ByteSpan image() const noexcept { return buf_; }
-
+  /// Empties the builder. The buffer keeps stale bytes; finalize() erases
+  /// the gap, so only the page image it returns is defined.
   void reset();
 
  private:
@@ -179,6 +179,7 @@ class DataPageBuilder {
   std::vector<std::uint64_t> sigs_;
   std::size_t write_off_ = 0;
   std::uint32_t page_size_;
+  bool gap_filled_ = false;  ///< [write_off_, footer) is 0xFF since reset()
 };
 
 /// A pair located during a head-page parse.

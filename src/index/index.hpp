@@ -18,6 +18,7 @@
 #include "common/status.hpp"
 #include "flash/address.hpp"
 #include "ftl/gc.hpp"
+#include "hash/murmur.hpp"
 #include "obs/metrics.hpp"
 
 namespace rhik::index {
@@ -94,6 +95,19 @@ class IndexJournal {
   }
 };
 
+/// Per-record visitor of IIndex::scan.
+using ScanFn = std::function<void(std::uint64_t sig, flash::Ppa ppa)>;
+
+/// Feeds one table's records to a scan visitor, testing the optional
+/// class tag inside the table's templated walk.
+template <typename Table>
+void scan_table(const Table& table, const ScanFn& fn,
+                std::optional<std::uint64_t> class_tag) {
+  table.for_each([&](const auto& r) {
+    if (!class_tag || hash::class_tag(r.sig) == *class_tag) fn(r.sig, r.ppa);
+  });
+}
+
 class IIndex : public ftl::GcIndexHooks {
  public:
   ~IIndex() override = default;
@@ -144,11 +158,15 @@ class IIndex : public ftl::GcIndexHooks {
   /// Persists all dirty state (cached tables, directory checkpoint).
   virtual Status flush() = 0;
 
-  /// Full scan over every (signature, PPA) record. Loads record pages as
-  /// needed (flash reads are charged); used by the iterator extension
-  /// (§VI) and by consistency checks.
-  virtual Status scan(
-      const std::function<void(std::uint64_t sig, flash::Ppa ppa)>& fn) = 0;
+  /// Full scan over every (signature, PPA) record, or — given
+  /// `class_tag` — over those whose signature carries that prefix-class
+  /// tag (hash::class_tag). Every record page is loaded either way (flash
+  /// reads are charged as needed), so the device clock does not depend on
+  /// the filter; the tag test runs inside the table walk, so `fn` is
+  /// called only for matches. Used by the iterator extension (§VI) and by
+  /// consistency checks.
+  virtual Status scan(const ScanFn& fn,
+                      std::optional<std::uint64_t> class_tag = std::nullopt) = 0;
 
   [[nodiscard]] virtual const IndexOpStats& op_stats() const = 0;
   virtual void reset_op_stats() = 0;

@@ -254,13 +254,13 @@ Status MlHashIndex::gc_relocate_index_page(Ppa ppa) {
   return write_table(level, page, **table, /*for_gc=*/true);
 }
 
-Status MlHashIndex::scan(const std::function<void(std::uint64_t, flash::Ppa)>& fn) {
+Status MlHashIndex::scan(const ScanFn& fn, std::optional<std::uint64_t> class_tag) {
   for (std::uint32_t l = 0; l < cfg_.levels; ++l) {
     for (std::uint64_t p = 0; p < dirs_[l].size(); ++p) {
       if (dirs_[l][p] == kInvalidPpa && !cache_.contains(make_key(l, p))) continue;
       auto table = load_table(l, p, nullptr);
       if (!table) return table.status();
-      (*table)->for_each([&](const hash::Record& r) { fn(r.sig, r.ppa); });
+      scan_table(**table, fn, class_tag);
     }
   }
   return Status::kOk;

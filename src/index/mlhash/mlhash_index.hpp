@@ -51,7 +51,8 @@ class MlHashIndex final : public IIndex {
   [[nodiscard]] std::uint64_t capacity() const override { return capacity_; }
   [[nodiscard]] std::uint64_t dram_bytes() const override;
   Status flush() override;
-  Status scan(const std::function<void(std::uint64_t, flash::Ppa)>& fn) override;
+  Status scan(const ScanFn& fn,
+              std::optional<std::uint64_t> class_tag = std::nullopt) override;
   [[nodiscard]] const IndexOpStats& op_stats() const override { return stats_; }
   void reset_op_stats() override {
     stats_ = {};

@@ -826,7 +826,7 @@ Status RhikIndex::checkpoint_directory() {
   return Status::kOk;
 }
 
-Status RhikIndex::scan(const std::function<void(std::uint64_t, flash::Ppa)>& fn) {
+Status RhikIndex::scan(const ScanFn& fn, std::optional<std::uint64_t> class_tag) {
   const auto visit = [&](std::uint32_t gen, std::uint64_t bucket) -> Status {
     for (const std::uint64_t keyed : {bucket, bucket | kOvBit}) {
       if (dir_slot(gen, keyed) == kInvalidPpa &&
@@ -835,7 +835,7 @@ Status RhikIndex::scan(const std::function<void(std::uint64_t, flash::Ppa)>& fn)
       }
       auto table = load_table(gen, keyed, nullptr);
       if (!table) return table.status();
-      (*table)->for_each([&](const hash::Record& r) { fn(r.sig, r.ppa); });
+      scan_table(**table, fn, class_tag);
     }
     return Status::kOk;
   };

@@ -55,7 +55,8 @@ class RhikIndex final : public IIndex {
   }
   [[nodiscard]] std::uint64_t dram_bytes() const override;
   Status flush() override;
-  Status scan(const std::function<void(std::uint64_t, flash::Ppa)>& fn) override;
+  Status scan(const ScanFn& fn,
+              std::optional<std::uint64_t> class_tag = std::nullopt) override;
   /// Directory bucket: ops on the same bucket share one record page.
   [[nodiscard]] std::uint64_t locality_group(
       std::uint64_t sig) const noexcept override {

@@ -124,12 +124,12 @@ Result<std::unique_ptr<KvssdDevice>> KvssdDevice::recover(
   std::unique_ptr<KvssdDevice> dev(new KvssdDevice(cfg, std::move(nand)));
 
   RecoveryStats stats;
-  bool restored = false;
+  Status fallback = Status::kUnsupported;  // checkpointing off
   if (dev->ckpt_) {
+    fallback = Status::kNotFound;
     if (auto found = CheckpointManager::find_newest(*dev->nand_, cfg.checkpoint)) {
-      if (ok(dev->restore_from_checkpoint(*found, stats))) {
-        restored = true;
-      } else {
+      fallback = dev->restore_from_checkpoint(*found, stats);
+      if (!ok(fallback)) {
         // The fast path mutated index / allocator state before failing;
         // rebuild a fresh device over the same array and full-scan.
         auto array = dev->release_nand();
@@ -138,10 +138,12 @@ Result<std::unique_ptr<KvssdDevice>> KvssdDevice::recover(
       }
     }
   }
-  if (!restored) {
+  if (!ok(fallback)) {
     // Counted on every full-device scan, checkpointing or not, so the
-    // restart path is always attributable from RecoveryStats alone.
+    // restart path and its reason are always attributable from
+    // RecoveryStats alone.
     stats.full_scan_fallback = 1;
+    stats.fallback_reason = fallback;
     if (dev->ckpt_) {
       // The scan's view of the log is about to become authoritative;
       // stale checkpoints and journal pages must not survive it (a crash
@@ -153,6 +155,7 @@ Result<std::unique_ptr<KvssdDevice>> KvssdDevice::recover(
                                    *dev->index_);
     if (!scan) return scan.status();
     scan->full_scan_fallback = stats.full_scan_fallback;
+    scan->fallback_reason = stats.fallback_reason;
     stats = *scan;
   }
   stats.pages_read = dev->nand_->stats().page_reads;
@@ -169,7 +172,7 @@ Result<std::unique_ptr<KvssdDevice>> KvssdDevice::recover(
     // Full-scan result: re-checkpoint immediately so the next restart is
     // O(dirty) again. Fast path: the restored state IS the checkpoint +
     // journal lineage; journaling just continues past the replayed tail.
-    if (!restored) {
+    if (!ok(fallback)) {
       (void)dev->ckpt_->checkpoint_now();
     } else {
       // Ghost pairs folded by the fast path exist only above the replayed

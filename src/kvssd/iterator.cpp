@@ -52,9 +52,9 @@ Result<std::uint32_t> IteratorManager::open_impl(ByteSpan prefix,
   it.pin_id = pin_id;
   it.epoch = epoch;
   it.owns_pin = owns_pin;
-  if (Status s = index_->scan([&](std::uint64_t sig, flash::Ppa ppa) {
-        if (hash::class_tag(sig) == want) it.candidates.emplace_back(sig, ppa);
-      });
+  if (Status s = index_->scan(
+          [&](std::uint64_t sig, flash::Ppa ppa) { it.candidates.emplace_back(sig, ppa); },
+          want);
       !ok(s)) {
     return s;
   }

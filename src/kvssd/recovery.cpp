@@ -42,6 +42,7 @@ void RecoveryStats::merge_from(const RecoveryStats& other) noexcept {
   pages_read += other.pages_read;
   checkpoint_restored += other.checkpoint_restored;
   full_scan_fallback += other.full_scan_fallback;
+  if (ok(fallback_reason)) fallback_reason = other.fallback_reason;
   journal_pages_replayed += other.journal_pages_replayed;
   journal_records_replayed += other.journal_records_replayed;
   checkpoint_version = std::max(checkpoint_version, other.checkpoint_version);

@@ -76,15 +76,19 @@ struct RecoveryStats {
   std::uint64_t pages_read = 0;
   /// 1 when the index was restored from a checkpoint + journal tail.
   std::uint64_t checkpoint_restored = 0;
-  /// 1 when checkpointing was enabled but recovery had to full-scan
-  /// (no valid slot, torn journal tail, or a resize barrier).
+  /// 1 when recovery full-scanned the device (fallback_reason says why).
   std::uint64_t full_scan_fallback = 0;
+  /// Why the full scan ran (kOk when it did not): kUnsupported when
+  /// checkpointing is off, kNotFound when no valid checkpoint slot
+  /// exists, else the Status the checkpoint restore failed with.
+  Status fallback_reason = Status::kOk;
   std::uint64_t journal_pages_replayed = 0;
   std::uint64_t journal_records_replayed = 0;
   /// Version of the checkpoint restored (0 = none).
   std::uint64_t checkpoint_version = 0;
 
-  /// Accumulates another shard's stats (max_seq takes the max).
+  /// Accumulates another shard's stats (max_seq takes the max; the
+  /// first shard's fallback reason wins).
   void merge_from(const RecoveryStats& other) noexcept;
 
   /// Registers these counters into a metrics snapshot (`recovery.*`).

@@ -6,11 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+
+#include "common/rng.hpp"
 #include "common/sim_clock.hpp"
 #include "flash/nand.hpp"
 #include "ftl/gc.hpp"
 #include "ftl/kv_store.hpp"
 #include "ftl/page_allocator.hpp"
+#include "hash/murmur.hpp"
+#include "index/index.hpp"
 
 namespace rhik::testutil {
 
@@ -42,5 +48,32 @@ struct IndexRig {
   IndexT index;
   ftl::GarbageCollector gc;
 };
+
+/// A signature in prefix class `tag` (hash::class_tag) with a random suffix.
+inline std::uint64_t sig_in_class(std::uint64_t tag, Rng& rng) {
+  return (tag << hash::kClassTagShift) |
+         (rng.next() & ((std::uint64_t{1} << hash::kClassTagShift) - 1));
+}
+
+/// IIndex::scan's class-tag contract: for every tag in [0, tags], the
+/// filtered scan returns exactly the full scan's records in that class
+/// (nothing for a class with no keys).
+inline void expect_class_scans_match_full_scan(index::IIndex& index,
+                                               std::uint64_t tags) {
+  std::map<std::uint64_t, std::uint64_t> full;
+  ASSERT_EQ(index.scan([&](std::uint64_t sig, flash::Ppa ppa) {
+    EXPECT_TRUE(full.emplace(sig, ppa).second) << "visited twice: " << sig;
+  }), Status::kOk);
+  for (std::uint64_t tag = 0; tag <= tags; ++tag) {
+    std::map<std::uint64_t, std::uint64_t> want, got;
+    for (const auto& [sig, ppa] : full) {
+      if (hash::class_tag(sig) == tag) want.emplace(sig, ppa);
+    }
+    ASSERT_EQ(index.scan([&](std::uint64_t sig, flash::Ppa ppa) {
+      EXPECT_TRUE(got.emplace(sig, ppa).second) << "visited twice: " << sig;
+    }, tag), Status::kOk);
+    EXPECT_EQ(got, want) << "class " << tag;
+  }
+}
 
 }  // namespace rhik::testutil

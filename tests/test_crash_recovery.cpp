@@ -471,6 +471,82 @@ TEST(CrashRecovery, FastRestoreReplaysAcrossResizeWithoutFullScan) {
 
 // --- Sharded array recovery --------------------------------------------------
 
+TEST(CrashRecovery, FullScanFallbackReportsItsReason) {
+  DeviceConfig base = crash_config();
+  base.checkpoint.slot_blocks = 2;
+  base.checkpoint.journal_blocks = 2;
+  base.checkpoint.dirty_pages = 1u << 30;  // explicit checkpoints only
+  const auto fill = [](KvssdDevice& dev) {
+    for (int i = 0; i < 100; ++i) {
+      const std::string k = "r" + std::to_string(i);
+      ASSERT_EQ(dev.put(key(k), key("v" + k)), Status::kOk);
+    }
+    ASSERT_EQ(dev.flush(), Status::kOk);
+  };
+  // Recovers `nand` under `cfg` and checks every flushed key came back.
+  const auto recover = [](const DeviceConfig& cfg,
+                          std::unique_ptr<flash::NandDevice> nand) {
+    RecoveryStats rs;
+    auto dev = KvssdDevice::recover(cfg, std::move(nand), &rs);
+    EXPECT_TRUE(dev.has_value());
+    for (int i = 0; dev && i < 100; ++i) {
+      const std::string k = "r" + std::to_string(i);
+      Bytes value;
+      EXPECT_EQ((*dev)->get(key(k), &value), Status::kOk) << k;
+    }
+    return rs;
+  };
+
+  {  // Checkpointing off: the scan is the only path.
+    KvssdDevice dev(base);
+    fill(dev);
+    const RecoveryStats rs = recover(base, dev.release_nand());
+    EXPECT_EQ(rs.full_scan_fallback, 1u);
+    EXPECT_EQ(rs.fallback_reason, Status::kUnsupported);
+  }
+
+  DeviceConfig cfg = base;
+  cfg.checkpoint.enabled = true;
+  {  // A clean checkpoint restores: no fallback, no reason.
+    KvssdDevice dev(cfg);
+    fill(dev);
+    ASSERT_EQ(dev.checkpoint_now(), Status::kOk);
+    const RecoveryStats rs = recover(cfg, dev.release_nand());
+    EXPECT_EQ(rs.checkpoint_restored, 1u);
+    EXPECT_EQ(rs.full_scan_fallback, 0u);
+    EXPECT_EQ(rs.fallback_reason, Status::kOk);
+  }
+  {  // The first checkpoint is torn by a power cut: no valid slot.
+    bool torn = false;
+    for (std::uint64_t arm = 1; arm < 64 && !torn; ++arm) {
+      KvssdDevice dev(cfg);
+      fill(dev);
+      flash::FaultInjector fi(arm);
+      dev.nand().set_fault_injector(&fi);
+      fi.arm_after(arm, flash::TornWritePolicy::kGarbage);
+      (void)dev.checkpoint_now();
+      dev.nand().set_fault_injector(nullptr);
+      if (fi.stats().torn_pages == 0) continue;  // the cut hit an erase
+      torn = true;
+      const RecoveryStats rs = recover(cfg, dev.release_nand());
+      EXPECT_EQ(rs.full_scan_fallback, 1u) << "arm=" << arm;
+      EXPECT_EQ(rs.fallback_reason, Status::kNotFound) << "arm=" << arm;
+    }
+    EXPECT_TRUE(torn);
+  }
+  {  // A valid checkpoint the restore rejects: its Status is the reason.
+    KvssdDevice dev(cfg);
+    fill(dev);
+    ASSERT_EQ(dev.checkpoint_now(), Status::kOk);
+    DeviceConfig other = cfg;
+    other.index_kind = IndexKind::kMlHash;  // image written by RHIK
+    const RecoveryStats rs = recover(other, dev.release_nand());
+    EXPECT_EQ(rs.checkpoint_restored, 0u);
+    EXPECT_EQ(rs.full_scan_fallback, 1u);
+    EXPECT_EQ(rs.fallback_reason, Status::kCorruption);
+  }
+}
+
 TEST(ShardedRecovery, FlushedStateSurvivesAcrossAllShards) {
   shard::ShardedConfig cfg;
   cfg.num_shards = 4;

@@ -128,6 +128,52 @@ TEST(DataPageBuilder, ResetClearsState) {
   EXPECT_EQ(b.remaining(), kPage - PageFooter::size_for(1));
 }
 
+/// The image a page of `pairs` had when every reset filled the whole
+/// buffer with 0xFF: pairs packed from offset 0, erased gap, footer.
+Bytes full_fill_image(const std::vector<std::pair<PairHeader, std::string>>& pairs) {
+  Bytes page(kPage, 0xFF);
+  std::vector<std::uint64_t> sigs;
+  std::size_t off = 0;
+  for (const auto& [h, kv] : pairs) {
+    h.encode(page, off);
+    put_bytes(page, off + PairHeader::kSize, as_bytes(kv));
+    off += static_cast<std::size_t>(h.pair_bytes());
+    sigs.push_back(h.sig);
+  }
+  PageFooter::encode(page, sigs);
+  return page;
+}
+
+TEST(DataPageBuilder, FinalizeMatchesFullFillImageAfterReuse) {
+  // Dirty every byte of the builder's buffer, then reuse it: the gap
+  // between the pairs and the footer must still read erased.
+  DataPageBuilder b(kPage);
+  const std::string junk(kPage - PageFooter::size_for(1) - PairHeader::kSize - 4, '\x5A');
+  b.begin_extent(hdr(1, 4, static_cast<std::uint32_t>(junk.size() + 9)),
+                 as_bytes(std::string("jjjj")), as_bytes(junk));
+  (void)b.finalize();
+
+  std::vector<std::pair<PairHeader, std::string>> pairs;
+  for (const int n : {0, 3, -1}) {  // empty, partial, full (-1: until full)
+    b.reset();
+    pairs.clear();
+    for (int i = 0; n < 0 || i < n; ++i) {
+      const PairHeader h = hdr(100 + i, 4, 60);
+      if (!b.fits(h.pair_bytes())) break;
+      const std::string kv = "key" + std::string(1, 'a' + i % 26) + std::string(60, 'a' + i % 26);
+      b.append(h, as_bytes(kv).subspan(0, 4), as_bytes(kv).subspan(4));
+      pairs.emplace_back(h, kv);
+      // Reads served from the open page finalize mid-fill; later appends
+      // must keep the image exact.
+      if (i % 7 == 0) (void)b.finalize();
+    }
+    const ByteSpan got = b.finalize();
+    const Bytes want = full_fill_image(pairs);
+    ASSERT_EQ(Bytes(got.begin(), got.end()), want) << "pairs=" << pairs.size();
+    if (n < 0) EXPECT_LT(b.remaining(), 64u + PairHeader::kSize);  // really full
+  }
+}
+
 TEST(ParseHeadPage, DetectsFooterDataMismatch) {
   DataPageBuilder b(kPage);
   b.append(hdr(7, 4, 4), as_bytes(std::string("abcd")), as_bytes(std::string("efgh")));

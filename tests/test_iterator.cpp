@@ -5,6 +5,7 @@
 #include <set>
 #include <string>
 
+#include "hash/murmur.hpp"
 #include "kvssd/device.hpp"
 
 namespace rhik::kvssd {
@@ -130,6 +131,42 @@ TEST_F(IteratorTest, KeysDeletedBeforeOpenAreAbsent) {
   for (const auto& k : keys) {
     EXPECT_NE(rhik::to_string(ByteSpan{k}), "user:3");
   }
+}
+
+TEST_F(IteratorTest, PinnedScanOpenedAfterChurnSeesSnapshotKeys) {
+  auto snap = dev_.open_snapshot();
+  ASSERT_TRUE(snap);
+  // Churn between the pin and the open: the deleted keys are gone from
+  // the index and reach the iterator only through retained versions.
+  ASSERT_EQ(dev_.del(key("user:3")), Status::kOk);
+  ASSERT_EQ(dev_.del(key("user:4")), Status::kOk);
+  ASSERT_EQ(dev_.put(key("user:5"), key("newer")), Status::kOk);
+  ASSERT_EQ(dev_.put(key("user:late"), key("x")), Status::kOk);
+
+  // The class-filtered index scan is the full scan, then filtered.
+  const std::uint64_t tag = hash::class_tag(hash::prefix_signature(key("user")));
+  std::set<std::uint64_t> full, filtered;
+  ASSERT_EQ(dev_.index().scan([&](std::uint64_t sig, flash::Ppa) {
+    if (hash::class_tag(sig) == tag) full.insert(sig);
+  }), Status::kOk);
+  ASSERT_EQ(dev_.index().scan([&](std::uint64_t sig, flash::Ppa) { filtered.insert(sig); },
+                              tag),
+            Status::kOk);
+  EXPECT_EQ(filtered, full);
+  EXPECT_EQ(filtered.size(), 24u);  // 25 - 2 deleted + user:late
+
+  auto handle = dev_.kvs_open_iterator(key("user"), &*snap);
+  ASSERT_TRUE(handle);
+  std::set<std::string> seen;
+  std::vector<Bytes> keys;
+  while (dev_.kvs_iterator_next(*handle, 6, &keys) == Status::kOk) {
+    for (const auto& k : keys) seen.insert(rhik::to_string(ByteSpan{k}));
+  }
+  std::set<std::string> want;
+  for (int i = 0; i < 25; ++i) want.insert("user:" + std::to_string(i));
+  EXPECT_EQ(seen, want);
+  EXPECT_EQ(dev_.kvs_close_iterator(*handle), Status::kOk);
+  EXPECT_EQ(dev_.release_snapshot(*snap), Status::kOk);
 }
 
 TEST(Iterator, UnsupportedWithoutPrefixSignatures) {

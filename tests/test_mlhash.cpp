@@ -128,6 +128,16 @@ TEST(MlHash, ScanVisitsEverything) {
   EXPECT_EQ(seen, ref);
 }
 
+TEST(MlHash, ClassScanMatchesFullScanThenFilter) {
+  Rig rig;
+  Rng rng(16);
+  for (int i = 0; i < 600; ++i) {
+    (void)rig.index.put(testutil::sig_in_class(i % 5, rng), i);
+  }
+  ASSERT_GT(rig.index.size(), 0u);
+  testutil::expect_class_scans_match_full_scan(rig.index, 5);  // class 5 empty
+}
+
 TEST(MlHash, GcHooks) {
   Rig rig;
   ASSERT_EQ(rig.index.put(77, 500), Status::kOk);

@@ -154,6 +154,17 @@ TEST(Rhik, ScanVisitsEveryRecordOnce) {
   EXPECT_EQ(seen, ref);
 }
 
+TEST(Rhik, ClassScanMatchesFullScanThenFilter) {
+  Rig rig;
+  Rng rng(16);
+  std::uint64_t stored = 0;
+  for (int i = 0; i < 600; ++i) {
+    if (ok(rig.index.put(testutil::sig_in_class(i % 5, rng), i))) ++stored;
+  }
+  ASSERT_EQ(rig.index.size(), stored);
+  testutil::expect_class_scans_match_full_scan(rig.index, 5);  // class 5 empty
+}
+
 TEST(Rhik, GcHooksLookupAndUpdate) {
   Rig rig;
   ASSERT_EQ(rig.index.put(55, 1000), Status::kOk);

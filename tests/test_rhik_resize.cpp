@@ -236,6 +236,29 @@ TEST(RhikResize, ErasesDuringMigrationLandCorrectly) {
   }
 }
 
+TEST(RhikResize, ClassScanMatchesFullScanMidMigration) {
+  RhikConfig cfg;
+  cfg.incremental_resize = true;
+  cfg.incremental_batch = 1;
+  cfg.anticipated_keys = 4000;  // a directory of 16+ buckets to migrate
+  Rig rig(cfg);
+  std::unordered_map<std::uint64_t, std::uint64_t> ref;
+  Rng rng(8);
+  while (!rig.index.migration_active()) {
+    rig.maybe_gc();
+    const std::uint64_t sig = testutil::sig_in_class(ref.size() % 4, rng);
+    if (ok(rig.index.put(sig, ref.size()))) ref[sig] = ref.size();
+  }
+  // Some buckets migrated, some still in the old generation.
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(rig.index.pump_maintenance(1));
+  ASSERT_TRUE(rig.index.migration_active());
+  std::unordered_map<std::uint64_t, std::uint64_t> seen;
+  ASSERT_EQ(rig.index.scan([&](std::uint64_t sig, Ppa ppa) { seen[sig] = ppa; }),
+            Status::kOk);
+  EXPECT_EQ(seen, ref);
+  testutil::expect_class_scans_match_full_scan(rig.index, 4);
+}
+
 TEST(RhikResize, GrowthPastDirBitsCapReturnsIndexFull) {
   RhikConfig cfg;
   cfg.max_dir_bits = 1;
