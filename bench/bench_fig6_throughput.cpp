@@ -60,9 +60,9 @@ std::pair<double, double> run(bool rhik_index, bool async,
   const SimTime w0 = dev.clock().now();
   for (std::uint64_t id = 0; id < n; ++id) {
     workload::fill_value(id, value);
-    const Bytes key = workload::key_for_id(id, 16);
+    Bytes key = workload::key_for_id(id, 16);
     if (async) {
-      dev.submit_put(key, value);
+      dev.submit_put_tagged(id, std::move(key), value);
       if (id % dev.config().queue_depth == 0) dev.drain();
     } else {
       dev.put(key, value);
@@ -74,9 +74,9 @@ std::pair<double, double> run(bool rhik_index, bool async,
   Bytes out;
   const SimTime r0 = dev.clock().now();
   for (std::uint64_t id = 0; id < n; ++id) {
-    const Bytes key = workload::key_for_id(id, 16);
+    Bytes key = workload::key_for_id(id, 16);
     if (async) {
-      dev.submit_get(key);
+      dev.submit_get_tagged(id, std::move(key));
       if (id % dev.config().queue_depth == 0) dev.drain();
     } else {
       dev.get(key, &out);

@@ -118,7 +118,7 @@ double run_drain(bool grouped) {
                             /*seed=*/7);
   dev.index().reset_op_stats();
   for (std::size_t i = 0; i < kDrainBatch; ++i) {
-    dev.submit_get(workload::key_for_id(ids.next(), 16));
+    dev.submit_get_tagged(i, workload::key_for_id(ids.next(), 16));
   }
   dev.drain();
   return static_cast<double>(dev.index().op_stats().flash_reads) / kDrainBatch;

@@ -2,8 +2,10 @@
 // five KV verbs, and print the device counters.
 //
 //   $ ./quickstart
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "api/kvs.hpp"
 
@@ -36,10 +38,19 @@ int main() {
   std::printf("exist(user:9999) = %s\n",
               rhik::api::to_string(dev.exist("user:9999")));
 
-  // Prefix iteration (the paper's §VI iterator extension).
+  // Prefix iteration (the paper's §VI iterator extension): a streaming
+  // handle, drained in batches, then closed.
   std::vector<std::string> users;
-  dev.iterate("user", &users);
-  std::printf("iterate(\"user\") found %zu keys:\n", users.size());
+  std::uint64_t it = 0;
+  if (dev.kvs_open_iterator("user", &it) == KvsResult::KVS_SUCCESS) {
+    std::vector<std::string> batch;
+    while (dev.kvs_iterator_next(it, 256, &batch) == KvsResult::KVS_SUCCESS) {
+      users.insert(users.end(), batch.begin(), batch.end());
+    }
+    dev.kvs_close_iterator(it);
+  }
+  std::sort(users.begin(), users.end());
+  std::printf("prefix \"user\" holds %zu keys:\n", users.size());
   for (const auto& k : users) std::printf("  %s\n", k.c_str());
 
   dev.remove("post:9");

@@ -4,11 +4,12 @@
 // (`kvssd::KvssdDevice`) or the sharded multi-device array
 // (`shard::ShardedKvssd`). Both implement this narrow interface, so the
 // API layer issues every verb through one call path instead of branching
-// per backend. The interface is intentionally small: the SNIA-style verb
-// set (including the snapshot / streaming-iterator handles), the async
-// submission queue, and the durability / introspection hooks the facade
-// exposes. Anything richer (value-carrying iterators, GC internals,
-// per-shard access) stays on the concrete classes.
+// per backend. The interface is intentionally small: the SNIA-style sync
+// verbs (including the snapshot / streaming-iterator handles), the
+// command queue — tagged command records in, drained batches of
+// completion records out through one sink — and the durability /
+// introspection hooks the facade exposes. Anything richer (GC
+// internals, per-shard access) stays on the concrete classes.
 //
 // Header-only and dependency-light on purpose: the emulated device
 // implements it, so it must not pull API-layer or device-layer headers.
@@ -28,10 +29,12 @@ struct DeviceStats;
 
 namespace rhik::api {
 
-/// One finished tagged command, delivered batch-wise to the completion
-/// sink. `tag` is whatever the submitter passed — the facade uses its
-/// submission id. The key buffer travels down with the op and comes back
-/// here, so the fast path never re-copies it; `value` is filled for gets.
+/// One tagged command record. Submission fills `op`, `tag`, `key` and a
+/// put's `value`; execution fills `status` and a get's `value` (a put's
+/// input value is dropped), and the same record is delivered batch-wise
+/// to the completion sink. `tag` is whatever the submitter passed — the
+/// facade uses its submission id. The key buffer travels down with the
+/// command and comes back here, so the path never re-copies it.
 struct TaggedCompletion {
   enum class Op : std::uint8_t { kPut, kGet, kDel };
   std::uint64_t tag = 0;
@@ -54,9 +57,6 @@ struct SnapshotHandle {
 
 class IKvsBackend {
  public:
-  using Callback = std::function<void(Status)>;
-  /// Value-carrying completion for asynchronous gets.
-  using GetCallback = std::function<void(Status, Bytes&&)>;
   /// Batch completion sink: invoked ONCE per drained batch with every
   /// tagged completion the batch produced, in execution order. Sharded
   /// backends call it from worker threads (possibly concurrently), so
@@ -70,10 +70,6 @@ class IKvsBackend {
   virtual Status get(ByteSpan key, Bytes* value_out) = 0;
   virtual Status del(ByteSpan key) = 0;
   virtual Status exist(ByteSpan key) = 0;
-  /// Enumerates stored keys sharing `prefix` (prefix-signature devices
-  /// only; kUnsupported otherwise).
-  virtual Status iterate_prefix(ByteSpan prefix, std::vector<Bytes>* keys_out,
-                                std::size_t limit) = 0;
 
   // -- MVCC snapshots (DESIGN.md §13) ----------------------------------------
   /// Pins the current epoch; the snapshot stays readable until released,
@@ -106,23 +102,17 @@ class IKvsBackend {
   /// Closes the handle (and releases an internally pinned snapshot).
   virtual Status kvs_close_iterator(std::uint64_t handle) = 0;
 
-  // -- Asynchronous submission ----------------------------------------------
-  virtual void submit_put(Bytes key, Bytes value, Callback cb) = 0;
-  virtual void submit_get(Bytes key, GetCallback cb) = 0;
-  virtual void submit_del(Bytes key, Callback cb) = 0;
-  /// Executes queued commands; returns how many completed.
-  virtual std::size_t drain() = 0;
-
-  // -- Tagged submission (batched completion fast path) -----------------------
-  /// Tagged verbs complete through the completion sink instead of a
-  /// per-op callback: the backend collects every tagged completion a
-  /// drain batch produces and fires the sink once for the whole batch.
-  /// Install the sink before the first tagged submit; with no sink
-  /// installed, tagged completions are dropped.
+  // -- Command queue (tagged submission, batched completion) -------------------
+  /// Queued commands complete through the completion sink: the backend
+  /// collects every completion a drain batch produces and fires the sink
+  /// once for the whole batch. Install the sink before the first submit;
+  /// with no sink installed, completions are dropped.
   virtual void set_completion_sink(CompletionSink sink) = 0;
   virtual void submit_put_tagged(std::uint64_t tag, Bytes key, Bytes value) = 0;
   virtual void submit_get_tagged(std::uint64_t tag, Bytes key) = 0;
   virtual void submit_del_tagged(std::uint64_t tag, Bytes key) = 0;
+  /// Executes queued commands; returns how many completed.
+  virtual std::size_t drain() = 0;
 
   /// Runs one bounded quantum of background maintenance (GC relocation,
   /// incremental index migration) if any is pending; returns true when

@@ -159,38 +159,12 @@ KvsResult KvsDevice::kvs_close_iterator(std::uint64_t iter) {
   return from_status(backend_->kvs_close_iterator(iter));
 }
 
-KvsResult KvsDevice::iterate(std::string_view prefix,
-                             std::vector<std::string>* keys_out) {
-  // Deprecated collect-all wrapper: one consistent streamed scan over
-  // the handle API, drained to completion.
-  std::uint64_t handle = 0;
-  const KvsResult opened = kvs_open_iterator(prefix, &handle);
-  if (opened != KvsResult::KVS_SUCCESS) return opened;
-  keys_out->clear();
-  std::vector<std::string> batch;
-  KvsResult r = KvsResult::KVS_SUCCESS;
-  for (;;) {
-    r = kvs_iterator_next(handle, 256, &batch);
-    if (r != KvsResult::KVS_SUCCESS) break;
-    keys_out->insert(keys_out->end(), std::make_move_iterator(batch.begin()),
-                     std::make_move_iterator(batch.end()));
-  }
-  (void)kvs_close_iterator(handle);
-  if (r != KvsResult::KVS_ERR_KEY_NOT_EXIST) return r;
-  // The single device enumerates in index (hash) order and the sharded
-  // backend in shard-major order. Sort here so the facade's order is
-  // deterministic and identical across shard counts — networked ITER
-  // responses must be stable regardless of deployment.
-  std::sort(keys_out->begin(), keys_out->end());
-  return KvsResult::KVS_SUCCESS;
-}
-
 // -- Asynchronous verbs --------------------------------------------------------
 
 void KvsDevice::install_sink() {
   // The backend hands whole drained batches across; convert in place and
   // land them in the ring under one lock per batch. This is the only
-  // completion path — per-op callback dispatch is gone from the facade.
+  // completion path; no per-op callback is dispatched.
   backend_->set_completion_sink([this](std::vector<TaggedCompletion>&& batch) {
     std::vector<KvsCompletion> out;
     out.reserve(batch.size());

@@ -165,16 +165,6 @@ class KvsDevice {
   /// (caller-supplied snapshots stay open — the caller releases those).
   KvsResult kvs_close_iterator(std::uint64_t iter);
 
-  /// Deprecated collect-all scan, kept as a thin wrapper over the
-  /// handle API above: opens an iterator, drains it into `keys_out`
-  /// (sorted), closes it. Prefer the handle verbs — they stream in
-  /// bounded batches and can share one snapshot across scans.
-  /// KVS_ERR_OPTION_INVALID when the device was opened without
-  /// enable_iterator (the capability exists but was not requested);
-  /// KVS_ERR_ITERATOR_NOT_SUPPORTED only when the backend genuinely
-  /// cannot iterate.
-  KvsResult iterate(std::string_view prefix, std::vector<std::string>* keys_out);
-
   // -- Asynchronous verbs (SNIA-style submit + poll) --------------------------
   /// Queue a store/retrieve/remove; returns the submission id echoed in
   /// the matching KvsCompletion. Completions surface via
@@ -243,14 +233,6 @@ class KvsDevice {
   /// The backend seam itself, for advanced callers that want the raw
   /// verb set without the string-key / KvsResult dressing.
   [[nodiscard]] IKvsBackend& backend() noexcept { return *backend_; }
-
-  /// Access to the underlying emulated device. Only valid for a
-  /// non-sharded device (num_shards == 1).
-  [[deprecated("use backend()/stats_snapshot()/metrics_snapshot()")]]
-  [[nodiscard]] kvssd::KvssdDevice& device() noexcept { return *dev_; }
-  /// Access to the shard array (only valid when sharded()).
-  [[deprecated("use backend()/stats_snapshot()/metrics_snapshot()")]]
-  [[nodiscard]] shard::ShardedKvssd& shard_array() noexcept { return *array_; }
 
  private:
   static ByteSpan key_span(std::string_view key) noexcept {

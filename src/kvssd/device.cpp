@@ -777,41 +777,56 @@ Status KvssdDevice::del_locked(ByteSpan key) {
   return Status::kOk;
 }
 
-Status KvssdDevice::put(ByteSpan key, ByteSpan value) {
+Status KvssdDevice::execute(Op op, ByteSpan key, ByteSpan value,
+                            Bytes* value_out, SimTime enqueue_ns, bool async) {
   const SimTime t0 = clock_.now();
-  charge_command(/*async=*/false);
+  charge_command(async);
   obs::OpTrace tr;
-  const bool traced = obs_begin(tr, obs::OpKind::kPut, t0, /*enqueue_ns=*/t0);
-  begin_mutation_batch();
-  const Status s = put_locked(key, value);
-  stats_.put_latency_ns.record(clock_.now() - t0);
-  if (traced) obs_finish(tr, s, put_timers_);
+  const bool traced = obs_begin(tr,
+                                op == Op::kPut   ? obs::OpKind::kPut
+                                : op == Op::kGet ? obs::OpKind::kGet
+                                                 : obs::OpKind::kDel,
+                                t0, enqueue_ns);
+  Status s = Status::kOk;
+  switch (op) {
+    case Op::kPut:
+      s = put_locked(key, value);
+      stats_.put_latency_ns.record(clock_.now() - t0);
+      break;
+    case Op::kGet:
+      s = get_locked(key, value_out);
+      stats_.get_latency_ns.record(clock_.now() - t0);
+      break;
+    case Op::kDel:
+      s = del_locked(key);
+      break;
+  }
+  if (traced) obs_finish(tr, s, timers_for(op));
+  return s;
+}
+
+void KvssdDevice::finish_mutation_batch() {
   if (ckpt_) ckpt_->tick();
   gc_tick();
+}
+
+Status KvssdDevice::put(ByteSpan key, ByteSpan value) {
+  begin_mutation_batch();
+  const Status s = execute(Op::kPut, key, value, nullptr, clock_.now(),
+                           /*async=*/false);
+  finish_mutation_batch();
   return s;
 }
 
 Status KvssdDevice::get(ByteSpan key, Bytes* value_out) {
-  const SimTime t0 = clock_.now();
-  charge_command(/*async=*/false);
-  obs::OpTrace tr;
-  const bool traced = obs_begin(tr, obs::OpKind::kGet, t0, /*enqueue_ns=*/t0);
-  const Status s = get_locked(key, value_out);
-  stats_.get_latency_ns.record(clock_.now() - t0);
-  if (traced) obs_finish(tr, s, get_timers_);
-  return s;
+  return execute(Op::kGet, key, {}, value_out, clock_.now(), /*async=*/false);
 }
 
 Status KvssdDevice::del(ByteSpan key) {
-  const SimTime t0 = clock_.now();
-  charge_command(/*async=*/false);
-  obs::OpTrace tr;
-  const bool traced = obs_begin(tr, obs::OpKind::kDel, t0, /*enqueue_ns=*/t0);
   begin_mutation_batch();
-  const Status s = del_locked(key);
-  if (traced) obs_finish(tr, s, del_timers_);
-  if (ckpt_) ckpt_->tick();
-  gc_tick();
+  const Status s = execute(Op::kDel, key, {}, nullptr, clock_.now(),
+                           /*async=*/false);
+  finish_mutation_batch();
   return s;
 }
 
@@ -820,47 +835,6 @@ Status KvssdDevice::exist(ByteSpan key) {
   charge_command(/*async=*/false);
   stats_.exists++;
   return index_->exists(signature(key)) ? Status::kOk : Status::kNotFound;
-}
-
-Status KvssdDevice::iterate_prefix(ByteSpan prefix, std::vector<Bytes>* keys_out,
-                                   std::size_t limit) {
-  if (keys_out == nullptr) return Status::kInvalidArgument;
-  auto handle = open_iterator(prefix);
-  if (!handle) return handle.status();
-  keys_out->clear();
-  std::vector<IteratorEntry> batch;
-  while (keys_out->size() < limit) {
-    const std::size_t want = std::min<std::size_t>(limit - keys_out->size(), 64);
-    const Status s = iterator_next(*handle, want, &batch);
-    if (s == Status::kNotFound) break;
-    if (!ok(s)) {
-      close_iterator(*handle);
-      return s;
-    }
-    for (auto& e : batch) keys_out->push_back(std::move(e.key));
-  }
-  return close_iterator(*handle);
-}
-
-Result<std::uint32_t> KvssdDevice::open_iterator(ByteSpan prefix,
-                                                 IteratorOptions opts) {
-  if (!cfg_.prefix_signatures) return Status::kUnsupported;
-  charge_command(/*async=*/false);
-  stats_.iterates++;
-  return iter_mgr_->open(prefix, opts);
-}
-
-Status KvssdDevice::iterator_next(std::uint32_t handle, std::size_t max_entries,
-                                  std::vector<IteratorEntry>* out) {
-  if (!cfg_.prefix_signatures) return Status::kUnsupported;
-  charge_command(/*async=*/false);
-  return iter_mgr_->next(handle, max_entries, out);
-}
-
-Status KvssdDevice::close_iterator(std::uint32_t handle) {
-  if (!cfg_.prefix_signatures) return Status::kUnsupported;
-  charge_command(/*async=*/false);
-  return iter_mgr_->close(handle);
 }
 
 Result<api::SnapshotHandle> KvssdDevice::open_snapshot() {
@@ -982,88 +956,16 @@ Status KvssdDevice::kvs_close_iterator(std::uint64_t handle) {
   return iter_mgr_->close(static_cast<std::uint32_t>(handle));
 }
 
-Status KvssdDevice::execute_batch(std::vector<BatchOp>& ops) {
-  // One NVMe round trip for the whole group (compound command, [8]).
-  charge_command(/*async=*/false);
-  stats_.batches++;
-  // One epoch per compound command: its ops are a single atomic batch to
-  // snapshot readers (a snapshot sees all of it or none of it).
-  begin_mutation_batch();
-  for (BatchOp& op : ops) {
-    const SimTime t0 = clock_.now();
-    obs::OpTrace tr;
-    bool traced = false;
-    switch (op.kind) {
-      case BatchOp::Kind::kPut:
-        traced = obs_begin(tr, obs::OpKind::kPut, t0, /*enqueue_ns=*/t0);
-        op.status = put_locked(op.key, op.value);
-        if (traced) obs_finish(tr, op.status, put_timers_);
-        break;
-      case BatchOp::Kind::kGet:
-        traced = obs_begin(tr, obs::OpKind::kGet, t0, /*enqueue_ns=*/t0);
-        op.status = get_locked(op.key, &op.value);
-        if (traced) obs_finish(tr, op.status, get_timers_);
-        break;
-      case BatchOp::Kind::kDel:
-        traced = obs_begin(tr, obs::OpKind::kDel, t0, /*enqueue_ns=*/t0);
-        op.status = del_locked(op.key);
-        if (traced) obs_finish(tr, op.status, del_timers_);
-        break;
-      case BatchOp::Kind::kExist:
-        stats_.exists++;
-        op.status = index_->exists(signature(op.key)) ? Status::kOk
-                                                      : Status::kNotFound;
-        break;
-    }
-  }
-  if (ckpt_) ckpt_->tick();
-  gc_tick();
-  return Status::kOk;
+void KvssdDevice::submit(api::TaggedCompletion cmd) {
+  queue_.push_back({std::move(cmd), clock_.now()});
 }
 
-void KvssdDevice::submit_put(Bytes key, Bytes value, Callback cb) {
-  queue_.push_back({OpType::kPut, std::move(key), std::move(value),
-                    std::move(cb), {}, clock_.now()});
-}
-
-void KvssdDevice::submit_get(Bytes key, Callback cb) {
-  queue_.push_back(
-      {OpType::kGet, std::move(key), {}, std::move(cb), {}, clock_.now()});
-}
-
-void KvssdDevice::submit_get(Bytes key, GetCallback cb) {
-  queue_.push_back(
-      {OpType::kGet, std::move(key), {}, {}, std::move(cb), clock_.now()});
-}
-
-void KvssdDevice::submit_del(Bytes key, Callback cb) {
-  queue_.push_back(
-      {OpType::kDel, std::move(key), {}, std::move(cb), {}, clock_.now()});
-}
-
-void KvssdDevice::submit_put_tagged(std::uint64_t tag, Bytes key, Bytes value) {
-  queue_.push_back({OpType::kPut, std::move(key), std::move(value), {}, {},
-                    clock_.now(), tag, /*tagged=*/true});
-}
-
-void KvssdDevice::submit_get_tagged(std::uint64_t tag, Bytes key) {
-  queue_.push_back({OpType::kGet, std::move(key), {}, {}, {}, clock_.now(),
-                    tag, /*tagged=*/true});
-}
-
-void KvssdDevice::submit_del_tagged(std::uint64_t tag, Bytes key) {
-  queue_.push_back({OpType::kDel, std::move(key), {}, {}, {}, clock_.now(),
-                    tag, /*tagged=*/true});
-}
-
-std::size_t KvssdDevice::drain() {
+std::size_t KvssdDevice::drain_to(const api::IKvsBackend::CompletionSink& sink) {
   std::size_t completed = 0;
-  std::vector<QueuedOp> ops;
+  std::vector<QueuedCommand> ops;
   std::vector<std::uint32_t> order;
-  std::vector<api::TaggedCompletion> batch;
-  Bytes value;
-  // Outer loop: callbacks may submit follow-up commands; they drain in
-  // the same call, as with the previous strictly-serial implementation.
+  // Outer loop: the sink may submit follow-up commands; they drain in
+  // the same call.
   while (!queue_.empty()) {
     ops.assign(std::make_move_iterator(queue_.begin()),
                std::make_move_iterator(queue_.end()));
@@ -1076,7 +978,7 @@ std::size_t KvssdDevice::drain() {
     // index's locality bucket, so a record page is loaded once per group
     // instead of once per op under cache pressure. The sort is stable
     // and same-key ops share a signature (hence a group), so per-key
-    // ordering — the only ordering the async API guarantees — holds.
+    // ordering — the only ordering the queue guarantees — holds.
     order.resize(ops.size());
     for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
     if (cfg_.batch_drain_grouping && ops.size() > 1) {
@@ -1086,68 +988,26 @@ std::size_t KvssdDevice::drain() {
       // buffer and comparator indirection stable_sort pays per batch.
       std::vector<std::pair<std::uint64_t, std::uint32_t>> keyed(ops.size());
       for (std::uint32_t i = 0; i < keyed.size(); ++i) {
-        keyed[i] = {index_->locality_group(signature(ops[i].key)), i};
+        keyed[i] = {index_->locality_group(signature(ops[i].rec.key)), i};
       }
       std::sort(keyed.begin(), keyed.end());
       for (std::size_t i = 0; i < keyed.size(); ++i) order[i] = keyed[i].second;
     }
 
+    // Each executed record goes to the sink as is, in execution order.
+    std::vector<api::TaggedCompletion> batch;
+    batch.reserve(ops.size());
     for (const std::uint32_t i : order) {
-      QueuedOp& op = ops[i];
-      const SimTime t0 = clock_.now();
-      charge_command(/*async=*/true);
-      obs::OpTrace tr;
-      bool traced = false;
-      Status s = Status::kOk;
-      switch (op.type) {
-        case OpType::kPut:
-          traced = obs_begin(tr, obs::OpKind::kPut, t0, op.enqueue_ns);
-          s = put_locked(op.key, op.value);
-          stats_.put_latency_ns.record(clock_.now() - t0);
-          if (traced) obs_finish(tr, s, put_timers_);
-          break;
-        case OpType::kGet:
-          value.clear();
-          traced = obs_begin(tr, obs::OpKind::kGet, t0, op.enqueue_ns);
-          s = get_locked(op.key, &value);
-          stats_.get_latency_ns.record(clock_.now() - t0);
-          if (traced) obs_finish(tr, s, get_timers_);
-          break;
-        case OpType::kDel:
-          traced = obs_begin(tr, obs::OpKind::kDel, t0, op.enqueue_ns);
-          s = del_locked(op.key);
-          if (traced) obs_finish(tr, s, del_timers_);
-          break;
-      }
-      if (op.tagged) {
-        // Fast path: no per-op dispatch — the whole batch crosses to the
-        // sink in one call after the snapshot finishes.
-        api::TaggedCompletion tc;
-        tc.tag = op.tag;
-        tc.op = op.type == OpType::kPut   ? api::TaggedCompletion::Op::kPut
-                : op.type == OpType::kGet ? api::TaggedCompletion::Op::kGet
-                                          : api::TaggedCompletion::Op::kDel;
-        tc.status = s;
-        tc.key = std::move(op.key);
-        if (op.type == OpType::kGet) {
-          tc.value = std::move(value);
-          value.clear();
-        }
-        batch.push_back(std::move(tc));
-      } else if (op.get_cb) {
-        op.get_cb(s, std::move(value));
-        value.clear();
-      } else if (op.cb) {
-        op.cb(s);
-      }
-      ++completed;
+      api::TaggedCompletion& rec = ops[i].rec;
+      rec.status = execute(rec.op, rec.key, rec.value,
+                           rec.op == Op::kGet ? &rec.value : nullptr,
+                           ops[i].enqueue_ns, /*async=*/true);
+      if (rec.op == Op::kPut) rec.value = Bytes{};  // completions carry no input
+      batch.push_back(std::move(rec));
     }
-    if (!batch.empty()) {
-      if (sink_) sink_(std::move(batch));
-      batch.clear();
-    }
-    if (ckpt_) ckpt_->tick();
-    gc_tick();
+    completed += batch.size();
+    if (sink) sink(std::move(batch));
+    finish_mutation_batch();
   }
   return completed;
 }

@@ -7,10 +7,11 @@
 //
 // The command set mirrors the five vendor-specific NVMe commands of the
 // Samsung KVSSD: put, get, delete, exist, iterate (§II-A). Commands can
-// be issued synchronously or through an asynchronous submission queue;
-// async submission pipelines the fixed per-command overhead across the
-// queue depth, which is how the emulator reproduces the sync/async
-// throughput gap of Fig. 6.
+// be issued synchronously or queued as tagged command records that
+// drain() executes in batches and hands to the completion sink; queued
+// commands pipeline the fixed per-command overhead across the queue
+// depth, which is how the emulator reproduces the sync/async throughput
+// gap of Fig. 6.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +50,6 @@ struct DeviceStats {
   std::uint64_t bytes_put = 0;
   std::uint64_t bytes_got = 0;
   std::uint64_t not_found = 0;
-  std::uint64_t batches = 0;            ///< compound commands executed
   std::uint64_t collision_rejects = 0;  ///< index collision aborts (§IV-A1)
   std::uint64_t device_full = 0;
   std::uint64_t gc_invocations = 0;
@@ -67,7 +67,6 @@ struct DeviceStats {
     bytes_put += o.bytes_put;
     bytes_got += o.bytes_got;
     not_found += o.not_found;
-    batches += o.batches;
     collision_rejects += o.collision_rejects;
     device_full += o.device_full;
     gc_invocations += o.gc_invocations;
@@ -85,7 +84,6 @@ struct DeviceStats {
     snap.add_counter("device.bytes_put", bytes_put);
     snap.add_counter("device.bytes_got", bytes_got);
     snap.add_counter("device.not_found", not_found);
-    snap.add_counter("device.batches", batches);
     snap.add_counter("device.collision_rejects", collision_rejects);
     snap.add_counter("device.device_full", device_full);
     snap.add_counter("device.gc_invocations", gc_invocations);
@@ -119,18 +117,15 @@ class KvssdDevice : public api::IKvsBackend {
   KvssdDevice& operator=(const KvssdDevice&) = delete;
 
   // -- Synchronous KV command set (the api::IKvsBackend verb set) -------------
+  /// Each sync verb is charged the full per-command overhead. put/del are
+  /// a mutation batch of their own (new epoch, checkpoint and GC ticks);
+  /// get is not a batch boundary.
   Status put(ByteSpan key, ByteSpan value) override;
   Status get(ByteSpan key, Bytes* value_out) override;
   Status del(ByteSpan key) override;
   /// Membership by key signature only — probabilistic (§IV-A3): may
   /// report kOk for an absent key on a signature collision.
   Status exist(ByteSpan key) override;
-  /// §VI extension: enumerate stored keys sharing a prefix (one-shot
-  /// convenience over the iterator commands below). Requires
-  /// DeviceConfig::prefix_signatures. Keys are verified against the
-  /// actual prefix (flash reads), so results are exact.
-  Status iterate_prefix(ByteSpan prefix, std::vector<Bytes>* keys_out,
-                        std::size_t limit = SIZE_MAX) override;
 
   // -- MVCC snapshots (DESIGN.md §13) ----------------------------------------
   /// Pins the current epoch. Reads through the handle see exactly the
@@ -143,59 +138,45 @@ class KvssdDevice : public api::IKvsBackend {
   Status read_at(const api::SnapshotHandle& snap, ByteSpan key,
                  Bytes* value_out) override;
 
-  // -- Iterator command set (§II-A; key+value iteration is the §VI
-  // -- extension absent from Samsung KVSSD) ----------------------------------
-  /// Opens a device-level iterator. Pins its own snapshot internally, so
-  /// every iterator is consistent by default (DESIGN.md §13).
-  Result<std::uint32_t> open_iterator(ByteSpan prefix, IteratorOptions opts = {});
-  /// kOk with entries while any remain; kNotFound at iterator end;
-  /// kSnapshotTooOld if the backing pin was expired mid-scan.
-  Status iterator_next(std::uint32_t handle, std::size_t max_entries,
-                       std::vector<IteratorEntry>* out);
-  Status close_iterator(std::uint32_t handle);
-
-  // -- SNIA-style streaming key iterators (api::IKvsBackend) -----------------
+  // -- SNIA-style streaming key iterators (§II-A; api::IKvsBackend) ----------
+  /// Requires DeviceConfig::prefix_signatures. Keys are verified against
+  /// the actual prefix (flash reads), so results are exact; without
+  /// `snap` the iterator pins its own snapshot (DESIGN.md §13).
   Result<std::uint64_t> kvs_open_iterator(ByteSpan prefix,
                                           const api::SnapshotHandle* snap) override;
   Status kvs_iterator_next(std::uint64_t handle, std::size_t max_keys,
                            std::vector<Bytes>* keys_out) override;
   Status kvs_close_iterator(std::uint64_t handle) override;
 
-  /// Compound command (Kim et al., HotStorage'19 [8]): executes a group
-  /// of KV operations under a single NVMe round trip — one fixed command
-  /// overhead for the whole group. Per-op status (and get values) are
-  /// written back into the ops.
-  struct BatchOp {
-    enum class Kind : std::uint8_t { kPut, kGet, kDel, kExist } kind = Kind::kPut;
-    Bytes key;
-    Bytes value;  ///< put input / get output
-    Status status = Status::kOk;
-  };
-  Status execute_batch(std::vector<BatchOp>& ops);
-
-  // -- Asynchronous submission --------------------------------------------------
-  using Callback = api::IKvsBackend::Callback;
-  using GetCallback = api::IKvsBackend::GetCallback;
-  void submit_put(Bytes key, Bytes value, Callback cb = {}) override;
-  void submit_get(Bytes key, Callback cb = {});
-  /// Get whose completion receives the value read (empty on non-kOk).
-  void submit_get(Bytes key, GetCallback cb) override;
-  void submit_del(Bytes key, Callback cb = {}) override;
-  /// Executes all queued commands; returns how many completed. When
-  /// DeviceConfig::batch_drain_grouping is set, commands are executed
-  /// grouped by the index's locality bucket (stable within a group, so
-  /// same-key commands keep submission order).
-  std::size_t drain() override;
-
-  // -- Tagged submission (batched completion fast path) ------------------------
-  /// Tagged ops complete through the sink, one call per drained batch,
-  /// instead of one std::function dispatch per op (api::IKvsBackend).
+  // -- Command queue -----------------------------------------------------------
+  /// Queues one command record: `op`, `tag`, `key`, and `value` for a
+  /// put. drain() executes it and hands the same record, with `status`
+  /// (and a get's `value`) filled in, to the completion sink.
+  void submit(api::TaggedCompletion cmd);
+  void submit_put_tagged(std::uint64_t tag, Bytes key, Bytes value) override {
+    submit({tag, api::TaggedCompletion::Op::kPut, Status::kOk, std::move(key),
+            std::move(value)});
+  }
+  void submit_get_tagged(std::uint64_t tag, Bytes key) override {
+    submit({tag, api::TaggedCompletion::Op::kGet, Status::kOk, std::move(key), {}});
+  }
+  void submit_del_tagged(std::uint64_t tag, Bytes key) override {
+    submit({tag, api::TaggedCompletion::Op::kDel, Status::kOk, std::move(key), {}});
+  }
+  /// The sink receives every drained batch's completions in one call.
   void set_completion_sink(api::IKvsBackend::CompletionSink sink) override {
     sink_ = std::move(sink);
   }
-  void submit_put_tagged(std::uint64_t tag, Bytes key, Bytes value) override;
-  void submit_get_tagged(std::uint64_t tag, Bytes key) override;
-  void submit_del_tagged(std::uint64_t tag, Bytes key) override;
+  /// Executes all queued commands, one batch per queue snapshot, and
+  /// returns how many completed. Each command is charged the overhead
+  /// amortized over the queue depth; each batch is one mutation batch.
+  /// With DeviceConfig::batch_drain_grouping a batch executes grouped by
+  /// the index's locality bucket (stable within a group, so same-key
+  /// commands keep submission order). Commands the sink submits drain in
+  /// the same call.
+  std::size_t drain() override { return drain_to(sink_); }
+  /// drain() with `sink` in place of the installed sink.
+  std::size_t drain_to(const api::IKvsBackend::CompletionSink& sink);
 
   /// Persists buffered data and index state (and, with checkpointing
   /// enabled, the buffered index-delta journal records).
@@ -283,16 +264,11 @@ class KvssdDevice : public api::IKvsBackend {
   /// Shared wiring; `nand` may be an adopted (recovered) array.
   KvssdDevice(DeviceConfig cfg, std::unique_ptr<flash::NandDevice> nand);
 
-  enum class OpType : std::uint8_t { kPut, kGet, kDel };
-  struct QueuedOp {
-    OpType type;
-    Bytes key;
-    Bytes value;
-    Callback cb;
-    GetCallback get_cb;
-    SimTime enqueue_ns = 0;  ///< submission time (trace queue-wait span)
-    std::uint64_t tag = 0;   ///< tagged path: echoed in the completion
-    bool tagged = false;     ///< complete via sink_, not cb/get_cb
+  using Op = api::TaggedCompletion::Op;
+  /// A queued command record and its submission time (trace queue span).
+  struct QueuedCommand {
+    api::TaggedCompletion rec;
+    SimTime enqueue_ns = 0;
   };
 
   Status put_locked(ByteSpan key, ByteSpan value);
@@ -305,6 +281,15 @@ class KvssdDevice : public api::IKvsBackend {
   void begin_mutation_batch() noexcept {
     mutation_epoch_ = snaps_->epochs.advance();
   }
+  /// End of a mutation batch: the checkpoint and background GC ticks.
+  void finish_mutation_batch();
+
+  /// The one per-op executor behind the sync verbs and drain(): charges
+  /// the command (amortized over the queue depth when `async`, i.e.
+  /// drained from the queue), runs it under its trace, and records its
+  /// latency. `value` is a put's input; `value_out` receives a get's value.
+  Status execute(Op op, ByteSpan key, ByteSpan value, Bytes* value_out,
+                 SimTime enqueue_ns, bool async);
   /// Overwrite/delete path: hands the dying version to the retainer when
   /// any snapshot is pinned, else surrenders its stale credit now.
   void retire_version(std::uint64_t sig, flash::Ppa ppa, std::uint64_t epoch,
@@ -352,10 +337,8 @@ class KvssdDevice : public api::IKvsBackend {
   /// Completes the active trace: records the stage timers, samples the
   /// ring, and fires the periodic dump hook when due.
   void obs_finish(obs::OpTrace& tr, Status s, const StageTimers& timers);
-  const StageTimers& timers_for(OpType t) const noexcept {
-    return t == OpType::kPut ? put_timers_
-           : t == OpType::kGet ? get_timers_
-                               : del_timers_;
+  const StageTimers& timers_for(Op op) const noexcept {
+    return op == Op::kPut ? put_timers_ : op == Op::kGet ? get_timers_ : del_timers_;
   }
 
   DeviceConfig cfg_;
@@ -381,8 +364,8 @@ class KvssdDevice : public api::IKvsBackend {
   };
   std::vector<Rejournal> rejournal_;
 
-  std::deque<QueuedOp> queue_;
-  api::IKvsBackend::CompletionSink sink_;  ///< tagged-batch completion sink
+  std::deque<QueuedCommand> queue_;
+  api::IKvsBackend::CompletionSink sink_;  ///< drained-batch completion sink
   std::unique_ptr<IteratorManager> iter_mgr_;
   std::uint64_t live_bytes_ = 0;
   DeviceStats stats_;

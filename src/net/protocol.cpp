@@ -12,7 +12,6 @@ const char* to_string(Opcode op) noexcept {
     case Opcode::kPut: return "PUT";
     case Opcode::kGet: return "GET";
     case Opcode::kDel: return "DEL";
-    case Opcode::kIter: return "ITER";
     case Opcode::kStatus: return "STATUS";
     case Opcode::kIterOpen: return "ITER_OPEN";
     case Opcode::kIterNext: return "ITER_NEXT";

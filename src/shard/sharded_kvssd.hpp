@@ -5,13 +5,16 @@
 // directory bits — across N KvssdDevice instances. Each shard is owned
 // by a dedicated worker thread fed through a bounded submission ring;
 // only that worker ever touches the shard's device, so the
-// single-threaded emulator needs no internal locking. Completions flow
-// back via callbacks executed on the worker thread.
+// single-threaded emulator needs no internal locking.
 //
-// The front-end exposes the device's put/get/del/exist + batch verbs
-// (sync verbs block on their own completion and stay ordered behind
-// previously submitted async commands on the same shard) plus drain()
-// and flush() barriers across all shards. Whole-array figures:
+// A ring carries two kinds of entries: data commands (tagged put / get /
+// del records the worker queues on its device, completing through the
+// device's batch sink from the worker thread), and closures the worker
+// runs against its device after draining the queued commands. Every
+// other verb is one closure: sync verbs block on their own result and
+// stay ordered behind commands already submitted to the same shard;
+// drain(), flush() and the introspection calls run one closure on every
+// shard and wait for all of them. Whole-array figures:
 // DeviceStats are merged (histograms included) and simulated time is
 // the MAX across shard clocks — shards advance their clocks
 // concurrently, so the slowest shard defines array wall-clock.
@@ -45,10 +48,6 @@ struct ShardedConfig {
 
 class ShardedKvssd : public api::IKvsBackend {
  public:
-  using Callback = kvssd::KvssdDevice::Callback;
-  using GetCallback = kvssd::KvssdDevice::GetCallback;
-  using BatchOp = kvssd::KvssdDevice::BatchOp;
-
   explicit ShardedKvssd(ShardedConfig cfg);
   ~ShardedKvssd() override;
 
@@ -74,21 +73,13 @@ class ShardedKvssd : public api::IKvsBackend {
   std::vector<std::unique_ptr<flash::NandDevice>> release_nands();
 
   // -- Synchronous verbs (block until the op completes on its shard) ----------
+  /// put/get/del ride the shard's command queue: each is charged as a
+  /// queued command and runs as a drained batch of one, behind every
+  /// command submitted to that shard before it.
   Status put(ByteSpan key, ByteSpan value) override;
   Status get(ByteSpan key, Bytes* value_out) override;
   Status del(ByteSpan key) override;
   Status exist(ByteSpan key) override;
-  /// Prefix scan across the whole array: every shard scans its keyspace
-  /// slice (behind its queued work), results are merged, sorted
-  /// lexicographically for a deterministic order, and truncated to
-  /// `limit`. kUnsupported unless the shard devices keep prefix
-  /// signatures (DeviceConfig::prefix_signatures).
-  Status iterate_prefix(ByteSpan prefix, std::vector<Bytes>* keys_out,
-                        std::size_t limit = SIZE_MAX) override;
-  /// Compound command across the array: ops are partitioned by shard
-  /// (relative order preserved within each shard), executed as one
-  /// sub-batch per shard, and per-op status/value written back in place.
-  Status execute_batch(std::vector<BatchOp>& ops);
 
   // -- MVCC snapshots (DESIGN.md §13) ----------------------------------------
   /// Pins ONE device-global epoch: every shard stamps from the same
@@ -116,13 +107,7 @@ class ShardedKvssd : public api::IKvsBackend {
   /// The array-shared snapshot context (epoch source + pin registry).
   [[nodiscard]] ftl::SnapshotContext& snapshots() noexcept { return *snaps_; }
 
-  // -- Asynchronous submission (callbacks run on the shard's worker) ----------
-  void submit_put(Bytes key, Bytes value, Callback cb = {}) override;
-  void submit_get(Bytes key, GetCallback cb) override;
-  void submit_get(Bytes key, Callback cb = {});
-  void submit_del(Bytes key, Callback cb = {}) override;
-
-  // -- Tagged submission (batched completion fast path) ------------------------
+  // -- Command queue -------------------------------------------------------------
   /// Installs the sink on every shard device — each fires it from its
   /// own worker, one call per drained batch, so the sink must be
   /// thread-safe. Blocks until every worker has adopted the sink (a
@@ -140,7 +125,7 @@ class ShardedKvssd : public api::IKvsBackend {
   bool pump_background() override { return false; }
 
   /// Cross-shard barrier: waits until every command submitted before the
-  /// call has completed on its shard. Returns how many commands
+  /// call has completed on its shard. Returns how many queued commands
   /// completed since the previous barrier (approximate under concurrent
   /// submitters).
   std::size_t drain() override;
@@ -204,53 +189,12 @@ class ShardedKvssd : public api::IKvsBackend {
     bool dev_open = false;
   };
 
-  /// Worker round trips for the array-iterator cursor (caller-side).
-  Result<std::uint64_t> dev_iter_open(std::uint32_t shard, ByteSpan prefix,
-                                      const api::SnapshotHandle& snap);
-  Status dev_iter_next(std::uint32_t shard, std::uint64_t handle,
-                       std::size_t max_keys, std::vector<Bytes>* keys_out);
-  Status dev_iter_close(std::uint32_t shard, std::uint64_t handle);
-
-  struct Snapshot {
-    kvssd::DeviceStats stats;
-    SimTime now = 0;
-    SimTime stall = 0;
-    std::uint64_t keys = 0;
-    obs::MetricsSnapshot metrics;  ///< filled by kMetrics only
-  };
-
+  /// A ring entry: a data command for the shard's device queue, or —
+  /// when `fn` is set — a closure the worker runs against the device
+  /// once the commands ahead of it have drained.
   struct ShardOp {
-    enum class Kind : std::uint8_t {
-      kPut,
-      kGet,
-      kDel,
-      kExist,
-      kIterate,
-      kBatch,
-      kFlush,
-      kCheckpoint,
-      kSnapshot,
-      kMetrics,
-      kBarrier,
-      kReadAt,     ///< snapshot point read (key + snap + get_cb)
-      kIterOpen,   ///< open a device iterator (key = prefix, snap, handle_out)
-      kIterNext,   ///< stream keys (tag = device handle, limit, keys)
-      kIterClose,  ///< close a device iterator (tag = device handle)
-    };
-    Kind kind = Kind::kBarrier;
-    Bytes key;
-    Bytes value;
-    Callback cb;                 ///< put/del/exist/iterate/flush/ckpt completion
-    GetCallback get_cb;                   ///< get completion
-    std::uint64_t tag = 0;                ///< tagged path: echoed on completion
-    bool tagged = false;                  ///< complete via the device's sink
-    std::vector<BatchOp>* batch = nullptr;  ///< sub-batch, owned by waiter
-    std::vector<Bytes>* keys = nullptr;   ///< iterate: per-shard key sink
-    std::size_t limit = 0;                ///< iterate: per-shard result cap
-    api::SnapshotHandle snap{};           ///< kReadAt / kIterOpen pin
-    std::uint64_t* handle_out = nullptr;  ///< kIterOpen: device handle sink
-    Snapshot* snap_out = nullptr;
-    std::function<void()> done;           ///< control-op completion
+    api::TaggedCompletion cmd;
+    std::function<void(kvssd::KvssdDevice&)> fn;
   };
 
   struct Shard {
@@ -262,9 +206,21 @@ class ShardedKvssd : public api::IKvsBackend {
 
   void worker_loop(Shard& s);
   void submit_to(std::uint32_t shard, ShardOp op);
+  /// Queues a data command on its key's shard.
+  void submit_cmd(api::TaggedCompletion cmd);
   [[nodiscard]] std::uint32_t shard_of_sig(std::uint64_t sig) const;
-  /// Pushes a barrier-like op (kind + done) to every shard and waits.
-  void control_all(ShardOp::Kind kind, std::vector<Snapshot>* snaps);
+  /// Runs `fn` on the shard's worker, behind its queued commands, and
+  /// waits for it.
+  void on_shard(std::uint32_t shard,
+                const std::function<void(kvssd::KvssdDevice&)>& fn);
+  /// Runs `fn(shard, device)` on every shard's worker and waits for all:
+  /// a cross-shard barrier.
+  void on_all(const std::function<void(std::uint32_t, kvssd::KvssdDevice&)>& fn);
+  /// Sync put/get/del: one command record, run on its shard as a
+  /// drained batch of one; returns the executed record.
+  api::TaggedCompletion run_command(api::TaggedCompletion cmd);
+  /// First non-kOk status of `fn` across the shards (flush, checkpoint).
+  Status all_ok(const std::function<Status(kvssd::KvssdDevice&)>& fn);
   [[nodiscard]] std::uint64_t completed_total() const;
 
   ShardedConfig cfg_;
@@ -293,7 +249,6 @@ class ShardedKvssd : public api::IKvsBackend {
   obs::Counter* fe_gets_ = nullptr;    ///< frontend.gets
   obs::Counter* fe_dels_ = nullptr;    ///< frontend.dels
   obs::Counter* fe_exists_ = nullptr;  ///< frontend.exists
-  obs::Counter* fe_batch_ops_ = nullptr;  ///< frontend.batch_ops
   obs::Counter* fe_barriers_ = nullptr;   ///< frontend.barriers
 };
 

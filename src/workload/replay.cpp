@@ -26,16 +26,36 @@ ReplayResult replay(kvssd::KvssdDevice& device, const Trace& trace,
       result.failed_ops++;
     }
   };
+  const auto note_get = [&](Status s, std::uint64_t key_id, const Bytes& v) {
+    note(s);
+    if (ok(s)) {
+      result.bytes_read += v.size();
+      if (opts.verify_values && !check_value(key_id, v)) result.failed_ops++;
+    }
+  };
+  if (opts.async) {
+    // Each command is tagged with its key id, so a get's completion can
+    // be checked against the value that id stores.
+    device.set_completion_sink([&](std::vector<api::TaggedCompletion>&& done) {
+      for (const api::TaggedCompletion& c : done) {
+        if (c.op == api::TaggedCompletion::Op::kGet) {
+          note_get(c.status, c.tag, c.value);
+        } else {
+          note(c.status);
+        }
+      }
+    });
+  }
 
   for (const TraceOp& op : trace) {
-    const Bytes key = key_for_id(op.key_id, opts.key_size);
+    Bytes key = key_for_id(op.key_id, opts.key_size);
     switch (op.type) {
       case OpType::kPut: {
         value.resize(op.value_size);
         fill_value(op.key_id, value);
         result.bytes_written += value.size();
         if (opts.async) {
-          device.submit_put(key, value, note);
+          device.submit_put_tagged(op.key_id, std::move(key), value);
           in_flight++;
         } else {
           note(device.put(key, value));
@@ -44,23 +64,16 @@ ReplayResult replay(kvssd::KvssdDevice& device, const Trace& trace,
       }
       case OpType::kGet: {
         if (opts.async) {
-          device.submit_get(key, note);
+          device.submit_get_tagged(op.key_id, std::move(key));
           in_flight++;
         } else {
-          const Status s = device.get(key, &value);
-          note(s);
-          if (ok(s)) {
-            result.bytes_read += value.size();
-            if (opts.verify_values && !check_value(op.key_id, value)) {
-              result.failed_ops++;
-            }
-          }
+          note_get(device.get(key, &value), op.key_id, value);
         }
         break;
       }
       case OpType::kDel:
         if (opts.async) {
-          device.submit_del(key, note);
+          device.submit_del_tagged(op.key_id, std::move(key));
           in_flight++;
         } else {
           note(device.del(key));
@@ -76,7 +89,10 @@ ReplayResult replay(kvssd::KvssdDevice& device, const Trace& trace,
       in_flight = 0;
     }
   }
-  if (opts.async) device.drain();
+  if (opts.async) {
+    device.drain();
+    device.set_completion_sink({});  // the sink refers to this frame
+  }
   result.elapsed = device.clock().now() - t0;
   return result;
 }

@@ -29,6 +29,8 @@ struct ReplayResult {
 };
 
 /// Replays a trace; keys come from key_for_id, values from fill_value.
+/// Async replay installs its own completion sink on `device` for the run
+/// and clears it afterwards.
 ReplayResult replay(kvssd::KvssdDevice& device, const Trace& trace,
                     const ReplayOptions& opts);
 

@@ -1,9 +1,10 @@
-// Async submission-path semantics: value-carrying get completions,
-// exactly-once callbacks, sync/async status parity, and the index-aware
-// (bucket-grouped) batch drain returning results identical to the
-// strictly serial drain.
+// Command-queue semantics: value-carrying get completions, exactly-once
+// completion records through the batch sink, sync/async status parity,
+// and the index-aware (bucket-grouped) batch drain returning results
+// identical to the strictly serial drain.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -26,41 +27,37 @@ DeviceConfig small_config(bool grouped = true) {
 ByteSpan key(const std::string& s) { return as_bytes(s); }
 Bytes owned(const std::string& s) { return Bytes(s.begin(), s.end()); }
 
+/// Collects every completion the device's sink receives, in order.
+std::vector<api::TaggedCompletion>& collect(KvssdDevice& dev,
+                                            std::vector<api::TaggedCompletion>& out) {
+  dev.set_completion_sink([&out](std::vector<api::TaggedCompletion>&& batch) {
+    for (auto& c : batch) out.push_back(std::move(c));
+  });
+  return out;
+}
+
 TEST(AsyncDrain, GetCallbackCarriesValue) {
   KvssdDevice dev(small_config());
   ASSERT_EQ(dev.put(key("alpha"), key("value-one")), Status::kOk);
   ASSERT_EQ(dev.put(key("beta"), key("value-two")), Status::kOk);
 
-  int fired = 0;
-  dev.submit_get(owned("alpha"), [&](Status s, Bytes&& v) {
-    EXPECT_EQ(s, Status::kOk);
-    EXPECT_EQ(rhik::to_string(v), "value-one");
-    ++fired;
-  });
-  dev.submit_get(owned("beta"), [&](Status s, Bytes&& v) {
-    EXPECT_EQ(s, Status::kOk);
-    EXPECT_EQ(rhik::to_string(v), "value-two");
-    ++fired;
-  });
-  dev.submit_get(owned("missing"), [&](Status s, Bytes&& v) {
-    EXPECT_EQ(s, Status::kNotFound);
-    EXPECT_TRUE(v.empty());
-    ++fired;
-  });
+  std::vector<api::TaggedCompletion> done;
+  collect(dev, done);
+  dev.submit_get_tagged(1, owned("alpha"));
+  dev.submit_get_tagged(2, owned("beta"));
+  dev.submit_get_tagged(3, owned("missing"));
   EXPECT_EQ(dev.drain(), 3u);
-  EXPECT_EQ(fired, 3);
-}
-
-TEST(AsyncDrain, StatusOnlyGetCallbackStillWorks) {
-  KvssdDevice dev(small_config());
-  ASSERT_EQ(dev.put(key("k"), key("v")), Status::kOk);
-  int fired = 0;
-  dev.submit_get(owned("k"), [&](Status s) {
-    EXPECT_EQ(s, Status::kOk);
-    ++fired;
-  });
-  EXPECT_EQ(dev.drain(), 1u);
-  EXPECT_EQ(fired, 1);
+  ASSERT_EQ(done.size(), 3u);
+  std::map<std::uint64_t, const api::TaggedCompletion*> by_tag;
+  for (const auto& c : done) by_tag[c.tag] = &c;
+  ASSERT_EQ(by_tag.size(), 3u);
+  EXPECT_EQ(by_tag[1]->status, Status::kOk);
+  EXPECT_EQ(rhik::to_string(by_tag[1]->value), "value-one");
+  EXPECT_EQ(rhik::to_string(by_tag[1]->key), "alpha");
+  EXPECT_EQ(by_tag[2]->status, Status::kOk);
+  EXPECT_EQ(rhik::to_string(by_tag[2]->value), "value-two");
+  EXPECT_EQ(by_tag[3]->status, Status::kNotFound);
+  EXPECT_TRUE(by_tag[3]->value.empty());
 }
 
 /// Deterministic randomized mixed workload: op kind + key id + value.
@@ -117,42 +114,42 @@ std::vector<std::pair<Status, Bytes>> run_sync(KvssdDevice& dev,
   return out;
 }
 
-/// Runs the workload through the async queue (drained every
-/// `batch` submissions); returns per-op (status, value) plus a per-op
-/// completion count so exactly-once delivery is checkable.
+/// Runs the workload through the command queue (drained every `batch`
+/// submissions, each op tagged with its index); returns per-op (status,
+/// value) plus a per-op completion count so exactly-once delivery is
+/// checkable.
 std::vector<std::pair<Status, Bytes>> run_async(
     KvssdDevice& dev, const std::vector<MixedOp>& ops, std::size_t batch,
     std::vector<int>* fire_counts) {
   std::vector<std::pair<Status, Bytes>> out(ops.size(),
                                             {Status::kBusy, Bytes{}});
   fire_counts->assign(ops.size(), 0);
+  dev.set_completion_sink([&](std::vector<api::TaggedCompletion>&& done) {
+    for (api::TaggedCompletion& c : done) {
+      EXPECT_TRUE(c.op != api::TaggedCompletion::Op::kPut || c.value.empty());
+      out[c.tag] = {c.status, std::move(c.value)};
+      (*fire_counts)[c.tag]++;
+    }
+  });
   std::size_t queued = 0;
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const MixedOp& op = ops[i];
-    const Bytes k = workload::key_for_id(op.id, 16);
+    Bytes k = workload::key_for_id(op.id, 16);
     switch (op.kind) {
       case MixedOp::Kind::kPut:
-        dev.submit_put(k, value_for(op.id), [&, i](Status s) {
-          out[i].first = s;
-          (*fire_counts)[i]++;
-        });
+        dev.submit_put_tagged(i, std::move(k), value_for(op.id));
         break;
       case MixedOp::Kind::kGet:
-        dev.submit_get(k, [&, i](Status s, Bytes&& v) {
-          out[i] = {s, std::move(v)};
-          (*fire_counts)[i]++;
-        });
+        dev.submit_get_tagged(i, std::move(k));
         break;
       case MixedOp::Kind::kDel:
-        dev.submit_del(k, [&, i](Status s) {
-          out[i].first = s;
-          (*fire_counts)[i]++;
-        });
+        dev.submit_del_tagged(i, std::move(k));
         break;
     }
     if (++queued % batch == 0) dev.drain();
   }
   dev.drain();
+  dev.set_completion_sink({});
   return out;
 }
 
@@ -209,9 +206,11 @@ TEST(AsyncDrain, GroupingReducesIndexFlashReadsUnderCachePressure) {
     }
     dev.index().reset_op_stats();
     Rng rng(99);  // same draw sequence for both devices
+    dev.set_completion_sink([](std::vector<api::TaggedCompletion>&& done) {
+      for (const auto& c : done) EXPECT_EQ(c.status, Status::kOk);
+    });
     for (std::size_t i = 0; i < kGets; ++i) {
-      dev.submit_get(workload::key_for_id(rng.next_below(kKeys), 16),
-                     [](Status s) { EXPECT_EQ(s, Status::kOk); });
+      dev.submit_get_tagged(i, workload::key_for_id(rng.next_below(kKeys), 16));
     }
     EXPECT_EQ(dev.drain(), kGets);
     return dev.index().op_stats().flash_reads;
@@ -225,17 +224,27 @@ TEST(AsyncDrain, GroupingReducesIndexFlashReadsUnderCachePressure) {
 }
 
 TEST(AsyncDrain, CallbackResubmissionDrainsInSameCall) {
+  // A command the sink submits while handling a batch drains in the same
+  // drain() call, as its own batch.
   KvssdDevice dev(small_config());
+  int sink_calls = 0;
   int second_fired = 0;
-  dev.submit_put(owned("chain"), owned("v1"), [&](Status s) {
-    EXPECT_EQ(s, Status::kOk);
-    dev.submit_get(owned("chain"), [&](Status s2, Bytes&& v) {
-      EXPECT_EQ(s2, Status::kOk);
-      EXPECT_EQ(rhik::to_string(v), "v1");
+  dev.set_completion_sink([&](std::vector<api::TaggedCompletion>&& done) {
+    ++sink_calls;
+    ASSERT_EQ(done.size(), 1u);
+    const api::TaggedCompletion& c = done[0];
+    EXPECT_EQ(c.status, Status::kOk);
+    if (c.op == api::TaggedCompletion::Op::kPut) {
+      dev.submit_get_tagged(2, std::move(done[0].key));
+    } else {
+      EXPECT_EQ(c.tag, 2u);
+      EXPECT_EQ(rhik::to_string(c.value), "v1");
       ++second_fired;
-    });
+    }
   });
+  dev.submit_put_tagged(1, owned("chain"), owned("v1"));
   EXPECT_EQ(dev.drain(), 2u);
+  EXPECT_EQ(sink_calls, 2);
   EXPECT_EQ(second_fired, 1);
 }
 

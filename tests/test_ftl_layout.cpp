@@ -170,7 +170,9 @@ TEST(DataPageBuilder, FinalizeMatchesFullFillImageAfterReuse) {
     const ByteSpan got = b.finalize();
     const Bytes want = full_fill_image(pairs);
     ASSERT_EQ(Bytes(got.begin(), got.end()), want) << "pairs=" << pairs.size();
-    if (n < 0) EXPECT_LT(b.remaining(), 64u + PairHeader::kSize);  // really full
+    if (n < 0) {
+      EXPECT_LT(b.remaining(), 64u + PairHeader::kSize);  // really full
+    }
   }
 }
 

@@ -2,8 +2,10 @@
 // key verification, GC under churn, async submission, capacity limits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "hash/murmur.hpp"
@@ -220,12 +222,14 @@ TEST(Kvssd, AsyncDrainsAndPipelinesOverhead) {
   const auto owned = [](const std::string& s) { return Bytes(s.begin(), s.end()); };
   KvssdDevice async_dev(cfg);
   int completed = 0;
+  async_dev.set_completion_sink([&](std::vector<api::TaggedCompletion>&& done) {
+    for (const auto& c : done) {
+      EXPECT_EQ(c.status, Status::kOk);
+      ++completed;
+    }
+  });
   for (int i = 0; i < 200; ++i) {
-    async_dev.submit_put(owned("k" + std::to_string(i)), owned("v"),
-                         [&](Status s) {
-                           EXPECT_EQ(s, Status::kOk);
-                           ++completed;
-                         });
+    async_dev.submit_put_tagged(i, owned("k" + std::to_string(i)), owned("v"));
   }
   EXPECT_EQ(async_dev.drain(), 200u);
   EXPECT_EQ(completed, 200);
@@ -240,8 +244,13 @@ TEST(Kvssd, AsyncDeleteCompletesThroughQueue) {
   KvssdDevice dev(small_config());
   ASSERT_EQ(dev.put(key("gone-soon"), key("v")), Status::kOk);
   Status del_status = Status::kBusy;
-  dev.submit_del(Bytes{'g', 'o', 'n', 'e', '-', 's', 'o', 'o', 'n'},
-                 [&](Status s) { del_status = s; });
+  dev.set_completion_sink([&](std::vector<api::TaggedCompletion>&& done) {
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(done[0].op, api::TaggedCompletion::Op::kDel);
+    EXPECT_EQ(done[0].tag, 7u);
+    del_status = done[0].status;
+  });
+  dev.submit_del_tagged(7, Bytes{'g', 'o', 'n', 'e', '-', 's', 'o', 'o', 'n'});
   EXPECT_EQ(dev.drain(), 1u);
   EXPECT_EQ(del_status, Status::kOk);
   Bytes value;
@@ -256,10 +265,30 @@ TEST(Kvssd, DrainOnEmptyQueueIsNoop) {
   EXPECT_EQ(dev.clock().now(), t);
 }
 
+/// Drains a key iterator over `prefix` into `keys_out`, at most
+/// `limit` keys; returns the first status other than kOk/kNotFound.
+Status scan_prefix(KvssdDevice& dev, const std::string& prefix,
+                   std::vector<Bytes>* keys_out, std::size_t limit = SIZE_MAX) {
+  auto it = dev.kvs_open_iterator(key(prefix), nullptr);
+  if (!it) return it.status();
+  keys_out->clear();
+  std::vector<Bytes> batch;
+  Status s = Status::kOk;
+  while (keys_out->size() < limit &&
+         (s = dev.kvs_iterator_next(*it, std::min<std::size_t>(
+                                             limit - keys_out->size(), 64),
+                                    &batch)) == Status::kOk) {
+    keys_out->insert(keys_out->end(), batch.begin(), batch.end());
+  }
+  const Status closed = dev.kvs_close_iterator(*it);
+  if (s != Status::kOk && s != Status::kNotFound) return s;
+  return closed;
+}
+
 TEST(Kvssd, IteratePrefixRequiresConfig) {
   KvssdDevice dev(small_config());
   std::vector<Bytes> keys;
-  EXPECT_EQ(dev.iterate_prefix(key("user"), &keys), Status::kUnsupported);
+  EXPECT_EQ(scan_prefix(dev, "user", &keys), Status::kUnsupported);
 }
 
 TEST(Kvssd, IteratePrefixEnumeratesExactMatches) {
@@ -271,13 +300,13 @@ TEST(Kvssd, IteratePrefixEnumeratesExactMatches) {
     ASSERT_EQ(dev.put(key("acct:" + std::to_string(i)), key("a")), Status::kOk);
   }
   std::vector<Bytes> keys;
-  ASSERT_EQ(dev.iterate_prefix(key("user"), &keys), Status::kOk);
+  ASSERT_EQ(scan_prefix(dev, "user", &keys), Status::kOk);
   EXPECT_EQ(keys.size(), 20u);
   for (const auto& k : keys) {
     EXPECT_EQ(rhik::to_string(ByteSpan{k}.subspan(0, 5)), "user:");
   }
-  // Limit is honoured.
-  ASSERT_EQ(dev.iterate_prefix(key("acct"), &keys, 5), Status::kOk);
+  // A batch never exceeds the requested key count.
+  ASSERT_EQ(scan_prefix(dev, "acct", &keys, 5), Status::kOk);
   EXPECT_EQ(keys.size(), 5u);
 }
 

@@ -205,7 +205,7 @@ TEST(NetProtocol, ResponseCapScalesWithMaxIterKeys) {
       limits.max_value_len + (limits.max_key_len + 2) * limits.max_iter_keys;
 
   ResponseFrame f;
-  f.opcode = Opcode::kIter;
+  f.opcode = Opcode::kIterNext;
   f.status = api::KvsResult::KVS_SUCCESS;
   f.value.resize(cap);  // exactly at the ceiling: must decode
   Bytes stream;

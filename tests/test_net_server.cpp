@@ -2,7 +2,11 @@
 // over loopback, a real api::KvsDevice behind the server. Covers the
 // verb set, pipelining, tenant isolation + quotas, admission control,
 // graceful shutdown draining, and the killed-client path.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -13,6 +17,7 @@
 
 #include "api/kvs.hpp"
 #include "net/client.hpp"
+#include "net/protocol.hpp"
 #include "net/server.hpp"
 #include "obs/metrics.hpp"
 
@@ -66,6 +71,63 @@ TEST(NetServer, PutGetDelIterRoundTrip) {
   EXPECT_EQ(c.del("user:1"), KvsResult::KVS_SUCCESS);
   EXPECT_EQ(c.get("user:1", &v), KvsResult::KVS_ERR_KEY_NOT_EXIST);
   EXPECT_EQ(c.del("user:1"), KvsResult::KVS_ERR_KEY_NOT_EXIST);
+}
+
+/// Sends one hand-built request frame over a fresh loopback connection
+/// and returns the decoded response (bypasses KvClient, which only ever
+/// sends opcodes it knows).
+ResponseFrame raw_round_trip(std::uint16_t port, const RequestFrame& req) {
+  ResponseFrame resp;
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+  Bytes wire;
+  encode_request(req, &wire);
+  EXPECT_EQ(::send(fd, wire.data(), wire.size(), 0),
+            static_cast<ssize_t>(wire.size()));
+  ResponseDecoder dec;
+  std::uint8_t buf[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) {
+      ADD_FAILURE() << "connection closed before a response";
+      break;
+    }
+    dec.feed(ByteSpan(buf, static_cast<std::size_t>(n)));
+    const DecodeStatus st = dec.next(&resp);
+    if (st == DecodeStatus::kFrame) break;
+    if (st != DecodeStatus::kNeedMore) {
+      ADD_FAILURE() << "undecodable response";
+      break;
+    }
+  }
+  ::close(fd);
+  return resp;
+}
+
+TEST(NetServer, ReservedIterOpcodeRefusedAndLeavesKeyIntact) {
+  // Opcode 4 (the retired one-shot ITER) still decodes, but the server
+  // must answer it with an error — never run it as a data verb, where it
+  // would, say, delete its prefix key.
+  ServerFixture fx;
+  KvClient c = fx.client();
+  ASSERT_EQ(c.put("victim", "still-here"), KvsResult::KVS_SUCCESS);
+
+  RequestFrame req;
+  req.opcode = static_cast<Opcode>(4);
+  req.request_id = 42;
+  req.key = Bytes{'v', 'i', 'c', 't', 'i', 'm'};
+  const ResponseFrame resp = raw_round_trip(fx.server.port(), req);
+  EXPECT_EQ(resp.request_id, 42u);
+  EXPECT_EQ(resp.status, KvsResult::KVS_ERR_OPTION_INVALID);
+
+  Bytes v;
+  ASSERT_EQ(c.get("victim", &v), KvsResult::KVS_SUCCESS);
+  EXPECT_EQ(rhik::to_string(v), "still-here");
 }
 
 TEST(NetServer, EmptyAndOversizedKeysRejected) {

@@ -1,9 +1,11 @@
-// ShardedKvssd front-end: routing, sync/async verbs, cross-shard
-// drain/flush barriers, batch partitioning, stats aggregation and
-// single-shard parity with a raw device.
+// ShardedKvssd front-end: routing, sync verbs and tagged commands,
+// cross-shard drain/flush barriers, per-shard completion batches, stats
+// aggregation and single-shard parity with a raw device.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -80,12 +82,21 @@ TEST(Sharded, AsyncCallbacksAndDrainBarrier) {
   ShardedKvssd arr(make_config(4));
   constexpr int kOps = 300;
   std::atomic<int> acks{0};
+  std::atomic<int> get_acks{0};
+  // Shards fire the sink from their workers, so it counts atomically.
+  arr.set_completion_sink([&](std::vector<api::TaggedCompletion>&& done) {
+    for (const auto& c : done) {
+      EXPECT_EQ(c.status, Status::kOk);
+      if (c.op == api::TaggedCompletion::Op::kGet) {
+        EXPECT_EQ(rhik::to_string(c.value), "v");
+        get_acks.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        acks.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
   for (int i = 0; i < kOps; ++i) {
-    arr.submit_put(workload::key_for_id(i, 16), owned("v"),
-                   [&](Status s) {
-                     EXPECT_EQ(s, Status::kOk);
-                     acks.fetch_add(1, std::memory_order_relaxed);
-                   });
+    arr.submit_put_tagged(i, workload::key_for_id(i, 16), owned("v"));
   }
   arr.drain();
   EXPECT_EQ(acks.load(), kOps);
@@ -93,13 +104,8 @@ TEST(Sharded, AsyncCallbacksAndDrainBarrier) {
   // Everything already completed: a second barrier completes nothing.
   EXPECT_EQ(arr.drain(), 0u);
 
-  std::atomic<int> get_acks{0};
   for (int i = 0; i < kOps; ++i) {
-    arr.submit_get(workload::key_for_id(i, 16), [&](Status s, Bytes&& v) {
-      EXPECT_EQ(s, Status::kOk);
-      EXPECT_EQ(rhik::to_string(v), "v");
-      get_acks.fetch_add(1, std::memory_order_relaxed);
-    });
+    arr.submit_get_tagged(i, workload::key_for_id(i, 16));
   }
   arr.drain();
   EXPECT_EQ(get_acks.load(), kOps);
@@ -109,7 +115,7 @@ TEST(Sharded, FlushBarrierCoversAllShards) {
   ShardedKvssd arr(make_config(3));
   constexpr int kOps = 150;
   for (int i = 0; i < kOps; ++i) {
-    arr.submit_put(workload::key_for_id(i, 16), owned("v"));
+    arr.submit_put_tagged(i, workload::key_for_id(i, 16), owned("v"));
   }
   ASSERT_EQ(arr.flush(), Status::kOk);
   // flush() implies the drain barrier: every queued put completed on its
@@ -254,8 +260,8 @@ TEST(Sharded, MetricsStableUnderConcurrentDrains) {
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       for (int i = 0; i < kPerProducer; ++i) {
-        arr.submit_put(workload::key_for_id(p * kPerProducer + i, 16),
-                       owned("value"));
+        arr.submit_put_tagged(i, workload::key_for_id(p * kPerProducer + i, 16),
+                              owned("value"));
       }
     });
   }
@@ -273,49 +279,44 @@ TEST(Sharded, MetricsStableUnderConcurrentDrains) {
 }
 
 TEST(Sharded, ExecuteBatchPartitionsAndWritesBack) {
+  // A group of tagged commands spread over the shards: each shard drains
+  // its part, and every completion comes back by tag with its own
+  // status and value.
   ShardedKvssd arr(make_config(4));
   for (int i = 0; i < 50; ++i) {
     ASSERT_EQ(arr.put(workload::key_for_id(i, 16), key("old")), Status::kOk);
   }
 
-  std::vector<ShardedKvssd::BatchOp> ops;
+  std::mutex mu;
+  std::map<std::uint64_t, api::TaggedCompletion> by_tag;
+  arr.set_completion_sink([&](std::vector<api::TaggedCompletion>&& done) {
+    std::lock_guard lk(mu);
+    for (auto& c : done) {
+      EXPECT_TRUE(by_tag.emplace(c.tag, std::move(c)).second) << "tag twice";
+    }
+  });
   for (int i = 0; i < 50; ++i) {  // gets of present keys
-    ShardedKvssd::BatchOp op;
-    op.kind = ShardedKvssd::BatchOp::Kind::kGet;
-    op.key = workload::key_for_id(i, 16);
-    ops.push_back(std::move(op));
+    arr.submit_get_tagged(i, workload::key_for_id(i, 16));
   }
-  {  // delete one, probe one absent, update one
-    ShardedKvssd::BatchOp op;
-    op.kind = ShardedKvssd::BatchOp::Kind::kDel;
-    op.key = workload::key_for_id(7, 16);
-    ops.push_back(std::move(op));
-    op = {};
-    op.kind = ShardedKvssd::BatchOp::Kind::kExist;
-    op.key = owned("absent-key");
-    ops.push_back(std::move(op));
-    op = {};
-    op.kind = ShardedKvssd::BatchOp::Kind::kPut;
-    op.key = workload::key_for_id(3, 16);
-    op.value = owned("new");
-    ops.push_back(std::move(op));
-  }
+  arr.submit_del_tagged(50, workload::key_for_id(7, 16));
+  arr.submit_get_tagged(51, owned("absent-key"));
+  arr.submit_put_tagged(52, workload::key_for_id(3, 16), owned("new"));
+  arr.drain();
 
-  ASSERT_EQ(arr.execute_batch(ops), Status::kOk);
+  ASSERT_EQ(by_tag.size(), 53u);
   for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(ops[i].status, Status::kOk) << i;
-    EXPECT_EQ(rhik::to_string(ops[i].value), "old") << i;
+    EXPECT_EQ(by_tag[i].status, Status::kOk) << i;
+    EXPECT_EQ(rhik::to_string(by_tag[i].value), "old") << i;
+    EXPECT_EQ(by_tag[i].key, workload::key_for_id(i, 16)) << i;
   }
-  EXPECT_EQ(ops[50].status, Status::kOk);      // del
-  EXPECT_EQ(ops[51].status, Status::kNotFound);  // exist(absent)
-  EXPECT_EQ(ops[52].status, Status::kOk);      // update
+  EXPECT_EQ(by_tag[50].status, Status::kOk);        // del
+  EXPECT_EQ(by_tag[51].status, Status::kNotFound);  // get(absent)
+  EXPECT_EQ(by_tag[52].status, Status::kOk);        // update
 
   Bytes v;
   EXPECT_EQ(arr.get(workload::key_for_id(7, 16), &v), Status::kNotFound);
   EXPECT_EQ(arr.get(workload::key_for_id(3, 16), &v), Status::kOk);
   EXPECT_EQ(rhik::to_string(v), "new");
-  // One compound command was charged per shard touched, at most.
-  EXPECT_LE(arr.stats().batches, arr.num_shards());
 }
 
 TEST(Sharded, SingleShardMatchesRawDevice) {

@@ -27,6 +27,10 @@ TEST(ShardedStress, ConcurrentSubmittersAndDrainBarriers) {
   constexpr std::uint64_t kKeyspace = 256;
   std::atomic<std::uint64_t> acks{0};
   std::atomic<bool> submitting{true};
+  // Every shard worker fires the sink, possibly at the same time.
+  arr.set_completion_sink([&](std::vector<api::TaggedCompletion>&& done) {
+    acks.fetch_add(done.size(), std::memory_order_relaxed);
+  });
 
   std::vector<std::thread> submitters;
   submitters.reserve(kThreads);
@@ -40,19 +44,13 @@ TEST(ShardedStress, ConcurrentSubmittersAndDrainBarriers) {
         switch (i % 3) {
           case 0:
             workload::fill_value(id, value);
-            arr.submit_put(std::move(key), value, [&](Status) {
-              acks.fetch_add(1, std::memory_order_relaxed);
-            });
+            arr.submit_put_tagged(id, std::move(key), value);
             break;
           case 1:
-            arr.submit_get(std::move(key), [&](Status, Bytes&&) {
-              acks.fetch_add(1, std::memory_order_relaxed);
-            });
+            arr.submit_get_tagged(id, std::move(key));
             break;
           case 2:
-            arr.submit_del(std::move(key), [&](Status) {
-              acks.fetch_add(1, std::memory_order_relaxed);
-            });
+            arr.submit_del_tagged(id, std::move(key));
             break;
         }
         if (i % 128 == 0) {  // sprinkle sync ops between async bursts
@@ -149,12 +147,19 @@ TEST(ShardedStress, SnapshotScansUnderChurn) {
     return id;
   };
 
+  // Tagged puts carry their churner's index; the sink settles them.
+  std::atomic<std::uint64_t> inflight[2] = {0, 0};
+  arr.set_completion_sink([&](std::vector<api::TaggedCompletion>&& done) {
+    for (const auto& c : done) {
+      inflight[c.tag].fetch_sub(1, std::memory_order_relaxed);
+    }
+  });
+
   std::vector<std::thread> churners;
   for (int t = 0; t < 2; ++t) {
     churners.emplace_back([&, t] {
       Bytes v(kValueSize);
       std::uint64_t i = 0;
-      std::atomic<std::uint64_t> inflight{0};
       while (!stop.load(std::memory_order_acquire)) {
         const std::uint64_t id = (t * 7919 + i) % kKeyspace;
         Bytes key = workload::key_for_id(id, 16);
@@ -165,15 +170,13 @@ TEST(ShardedStress, SnapshotScansUnderChurn) {
           arr.put(std::move(key), v);
         } else {
           workload::fill_value(id * kGens + (i % kGens), v);
-          inflight.fetch_add(1, std::memory_order_relaxed);
-          arr.submit_put(std::move(key), v, [&](Status) {
-            inflight.fetch_sub(1, std::memory_order_relaxed);
-          });
+          inflight[t].fetch_add(1, std::memory_order_relaxed);
+          arr.submit_put_tagged(t, std::move(key), v);
         }
         if (++i % 64 == 0) arr.drain();
       }
       arr.drain();
-      EXPECT_EQ(inflight.load(), 0u);
+      EXPECT_EQ(inflight[t].load(), 0u);
     });
   }
 
@@ -239,7 +242,9 @@ TEST(ShardedStress, SnapshotScansUnderChurn) {
   Bytes v;
   for (std::uint64_t id = 0; id < kKeyspace; ++id) {
     const Status s = arr.get(workload::key_for_id(id, 16), &v);
-    if (ok(s)) EXPECT_TRUE(untorn(id, v)) << "key id " << id;
+    if (ok(s)) {
+      EXPECT_TRUE(untorn(id, v)) << "key id " << id;
+    }
   }
   // No leaked pins: scanners released everything they opened.
   EXPECT_EQ(arr.snapshots().registry.open_pins(), 0u);

@@ -249,5 +249,38 @@ TEST(Replay, GetsOfMissingKeysCountNotFound) {
   EXPECT_EQ(r.failed_ops, 0u);
 }
 
+TEST(Replay, AsyncCountsBytesReadAndVerifiesValues) {
+  // Key 5 is pre-stored with a foreign value; verify_values must flag
+  // its get in both modes, and both modes count the bytes read.
+  const auto run = [](bool async) {
+    kvssd::DeviceConfig cfg;
+    cfg.geometry = flash::Geometry::tiny(64);
+    kvssd::KvssdDevice dev(cfg);
+    Trace load;
+    for (std::uint64_t i = 0; i < 40; ++i) {
+      if (i != 5) load.push_back({OpType::kPut, i, 64});
+    }
+    EXPECT_EQ(replay(dev, load, {}).failed_ops, 0u);
+    EXPECT_EQ(dev.put(key_for_id(5, 16), Bytes(64, 0xAB)), Status::kOk);
+
+    Trace gets;
+    for (std::uint64_t i = 0; i < 40; ++i) gets.push_back({OpType::kGet, i, 0});
+    gets.push_back({OpType::kGet, 777, 0});  // absent
+    ReplayOptions opts;
+    opts.async = async;
+    opts.async_batch = 16;
+    opts.verify_values = true;
+    return replay(dev, gets, opts);
+  };
+  const ReplayResult sync = run(false);
+  const ReplayResult async = run(true);
+  EXPECT_EQ(sync.failed_ops, 1u);
+  EXPECT_EQ(sync.bytes_read, 40u * 64);
+  EXPECT_EQ(sync.not_found, 1u);
+  EXPECT_EQ(async.failed_ops, sync.failed_ops);
+  EXPECT_EQ(async.bytes_read, sync.bytes_read);
+  EXPECT_EQ(async.not_found, sync.not_found);
+}
+
 }  // namespace
 }  // namespace rhik::workload
