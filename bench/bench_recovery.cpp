@@ -11,10 +11,16 @@
 // restart must read <= 10% of the pages a full scan reads on the
 // standard 4 GiB device, steady-state journaling must cost < 5% of
 // device clock, and recovery must fall back to the full scan when both
-// checkpoint slots are corrupted.
+// checkpoint slots are corrupted. A sharded array's restart is timed
+// twice on identical images — shards one after another, then rebuilt
+// concurrently — with a guard that pages read and the array clock match.
+#include <algorithm>
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "common/crc32.hpp"
@@ -22,6 +28,7 @@
 #include "flash/fault_injector.hpp"
 #include "kvssd/checkpoint.hpp"
 #include "kvssd/recovery.hpp"
+#include "shard/sharded_kvssd.hpp"
 #include "workload/keygen.hpp"
 
 using namespace rhik;
@@ -304,6 +311,152 @@ void journaling_overhead() {
               "page programs per thousand ops");
 }
 
+// Array restart (DESIGN.md §6, §8): a sharded array rebuilds its shards
+// concurrently, one thread each. The same per-shard NAND images are
+// restarted twice: shard after shard on one thread (the serial
+// reference), then through ShardedKvssd::recover. The rows show the
+// wall-time speed-up next to the pages each shard read and the array
+// clock, both of which must not move.
+constexpr std::uint64_t kArrayKeys = 200000;
+constexpr std::uint32_t kArrayValue = 1024;
+constexpr std::uint64_t kArrayUpdates = 4000;
+
+shard::ShardedConfig array_config(std::uint32_t shards, bool checkpoints) {
+  shard::ShardedConfig sc;
+  sc.num_shards = shards;
+  sc.device.geometry = bench::scaled_geometry((1ull << 30) / shards);
+  sc.device.dram_cache_bytes = (16ull << 20) / shards;
+  sc.device.checkpoint.enabled = checkpoints;
+  // Sized so no index doubling is left for the workers to migrate after
+  // the restart: the array clock read below is then the restart's alone.
+  sc.device.rhik.anticipated_keys = 2 * kArrayKeys / shards;
+  return sc;
+}
+
+/// Per-shard NAND images of a loaded array. Built on one thread, with
+/// keys routed as the array routes them, so two calls yield identical
+/// images. With checkpoints, every shard checkpoints after the load and
+/// the updates after it form the journal tail the restart replays.
+std::vector<std::unique_ptr<flash::NandDevice>> array_images(
+    const shard::ShardedConfig& sc) {
+  const shard::ShardedKvssd router(sc);
+  std::vector<std::unique_ptr<kvssd::KvssdDevice>> devs;
+  for (std::uint32_t i = 0; i < sc.num_shards; ++i) {
+    devs.push_back(std::make_unique<kvssd::KvssdDevice>(sc.device));
+  }
+  Bytes value(kArrayValue);
+  const auto put = [&](std::uint64_t id, std::uint64_t version) {
+    const Bytes key = workload::key_for_id(id, 16);
+    workload::fill_value(version, value);
+    return devs[router.shard_of(key)]->put(key, value);
+  };
+  for (std::uint64_t id = 0; id < kArrayKeys; ++id) {
+    if (!ok(put(id, id))) return {};
+  }
+  if (sc.device.checkpoint.enabled) {
+    for (auto& dev : devs) {
+      if (!ok(dev->checkpoint_now())) return {};
+    }
+  }
+  Rng rng(5);
+  for (std::uint64_t u = 0; u < kArrayUpdates; ++u) {
+    if (!ok(put(rng.next() % kArrayKeys, kArrayKeys + u))) return {};
+  }
+  std::vector<std::unique_ptr<flash::NandDevice>> nands;
+  for (auto& dev : devs) {
+    if (!ok(dev->flush())) return {};
+    nands.push_back(dev->release_nand());
+  }
+  return nands;
+}
+
+struct RestartRow {
+  bool ok = false;
+  double secs = 0;
+  std::vector<std::uint64_t> pages_read;  ///< per shard
+  SimTime clock = 0;                      ///< array clock after the restart
+};
+
+/// The serial reference: each shard recovered in turn on this thread,
+/// sharing one epoch source, clocks re-seeded to the slowest shard.
+RestartRow serial_restart(const shard::ShardedConfig& sc,
+                          std::vector<std::unique_ptr<flash::NandDevice>> nands) {
+  ftl::SnapshotContext ctx;
+  kvssd::DeviceConfig cfg = sc.device;
+  cfg.snapshots = &ctx;
+  std::vector<std::unique_ptr<kvssd::KvssdDevice>> devs;
+  RestartRow row;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto& nand : nands) {
+    kvssd::RecoveryStats stats;
+    auto dev = kvssd::KvssdDevice::recover(cfg, std::move(nand), &stats);
+    if (!dev.has_value()) return row;
+    row.pages_read.push_back(stats.pages_read);
+    devs.push_back(std::move(dev).value());
+  }
+  row.secs = seconds_since(t0);
+  for (const auto& dev : devs) row.clock = std::max(row.clock, dev->clock().now());
+  row.ok = !devs.empty();
+  return row;
+}
+
+RestartRow concurrent_restart(const shard::ShardedConfig& sc,
+                              std::vector<std::unique_ptr<flash::NandDevice>> nands) {
+  RestartRow row;
+  const auto t0 = std::chrono::steady_clock::now();
+  auto arr = shard::ShardedKvssd::recover(sc, std::move(nands));
+  row.secs = seconds_since(t0);
+  if (!arr.has_value()) return row;
+  for (const obs::MetricsSnapshot& snap : (*arr)->shard_metrics_snapshots()) {
+    row.pages_read.push_back(snap.counter("recovery.pages_read"));
+  }
+  row.clock = (*arr)->sim_time();
+  row.ok = true;
+  return row;
+}
+
+std::string join(const std::vector<std::uint64_t>& v) {
+  std::string s;
+  for (const std::uint64_t x : v) {
+    if (!s.empty()) s += ' ';
+    s += std::to_string(x);
+  }
+  return s;
+}
+
+void array_restart() {
+  bench::heading(
+      "Array restart: shards rebuilt concurrently vs one after another "
+      "(1 GiB array, 200k x 1 KiB)",
+      "DESIGN.md §6/§8 — concurrent shard restart, unchanged device clock");
+  std::printf("  %-6s %-10s %9s %11s %8s  %-24s %s\n", "shards", "restart",
+              "serial", "concurrent", "speed-up", "pages read per shard",
+              "array clock");
+  for (const bool checkpoints : {false, true}) {
+    for (const std::uint32_t shards : {2u, 4u}) {
+      const shard::ShardedConfig sc = array_config(shards, checkpoints);
+      auto images = array_images(sc);
+      const RestartRow serial = serial_restart(sc, std::move(images));
+      images = array_images(sc);
+      const RestartRow conc = concurrent_restart(sc, std::move(images));
+      if (!serial.ok || !conc.ok) {
+        std::printf("  %u shards: load or restart failed\n", shards);
+        continue;
+      }
+      std::printf("  %-6u %-10s %8.3fs %10.3fs %7.2fx  %-24s %.3f ms\n", shards,
+                  checkpoints ? "checkpoint" : "full scan", serial.secs, conc.secs,
+                  serial.secs / conc.secs, join(conc.pages_read).c_str(),
+                  static_cast<double>(conc.clock) / 1e6);
+      guard(serial.pages_read == conc.pages_read && serial.clock == conc.clock,
+            "%u shards, %s: pages read and array clock match the serial "
+            "restart",
+            shards, checkpoints ? "checkpoint" : "full scan");
+    }
+  }
+  bench::note("the speed-up needs one free core per shard; the device clock "
+              "and pages read do not depend on it");
+}
+
 }  // namespace
 
 int main() {
@@ -321,6 +474,7 @@ int main() {
 
   torn_log();
   checkpointed_restart();
+  array_restart();
   journaling_overhead();
   return 0;
 }

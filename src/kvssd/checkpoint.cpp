@@ -29,15 +29,12 @@ constexpr std::size_t kSuperSize = 4 + 8 + 4 + 8 + 4 + 8;
 // Fixed payload header before the block table (see build_payload).
 constexpr std::size_t kPayloadHeader = 4 + 4 + 8 + 8 + 8 + 8 + 4 + 4;
 
-/// Reads a page and verifies the controller CRC stamp; returns the spare
-/// tag on success.
+/// Reads a page as a view (valid until its block is erased) and verifies
+/// the controller CRC stamp; returns the spare tag on success.
 std::optional<ftl::SpareTag> read_checked(flash::NandDevice& nand, Ppa ppa,
-                                          Bytes& data, Bytes& spare) {
-  const auto& g = nand.geometry();
-  data.resize(g.page_size);
-  spare.resize(g.spare_size());
-  if (!ok(nand.read_page(ppa, data, spare))) return std::nullopt;
-  if (!flash::page_crc_ok(g, data, spare)) return std::nullopt;
+                                          ByteSpan& data, ByteSpan& spare) {
+  if (!ok(nand.read_page_view(ppa, &data, &spare))) return std::nullopt;
+  if (!flash::page_crc_ok(nand.geometry(), data, spare)) return std::nullopt;
   return ftl::SpareTag::decode(spare);
 }
 
@@ -94,7 +91,8 @@ void CheckpointManager::init_from_flash() {
   std::uint64_t max_seq = 0;
   std::uint32_t cur = 0;
   const auto& g = nand_->geometry();
-  Bytes data, spare;
+  ByteSpan data;
+  ByteSpan spare;
   for (std::uint32_t i = 0; i < cfg_.journal_blocks; ++i) {
     const std::uint32_t blk = journal_base() + i;
     for (std::uint32_t p = 0; p < nand_->pages_programmed(blk); ++p) {
@@ -429,7 +427,8 @@ std::optional<CheckpointManager::Found> CheckpointManager::find_newest(
   const auto& g = nand.geometry();
   const std::uint32_t first = g.num_blocks - reserved_blocks(cfg);
   std::optional<Found> best;
-  Bytes data, spare;
+  ByteSpan data;
+  ByteSpan spare;
   for (std::uint32_t slot = 0; slot < 2; ++slot) {
     const std::uint32_t base = first + slot * cfg.slot_blocks;
     // Find the slot's superblock (there is at most one valid one: the
@@ -489,12 +488,15 @@ CheckpointManager::JournalTail CheckpointManager::read_journal_tail(
   const auto& g = nand.geometry();
   const std::uint32_t jbase =
       g.num_blocks - reserved_blocks(cfg) + 2 * cfg.slot_blocks;
+  // Views of the journal pages: nothing is erased while the tail is
+  // decoded below.
   struct PageEntry {
     std::uint64_t seq;
-    Bytes data;
+    ByteSpan data;
   };
   std::vector<PageEntry> pages;
-  Bytes data, spare;
+  ByteSpan data;
+  ByteSpan spare;
   for (std::uint32_t i = 0; i < cfg.journal_blocks; ++i) {
     const std::uint32_t blk = jbase + i;
     for (std::uint32_t p = 0; p < nand.pages_programmed(blk); ++p) {

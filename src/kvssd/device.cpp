@@ -112,6 +112,22 @@ Status KvssdDevice::checkpoint_now() {
 Result<std::unique_ptr<KvssdDevice>> KvssdDevice::recover(
     DeviceConfig cfg, std::unique_ptr<flash::NandDevice> nand,
     RecoveryStats* stats_out) {
+  RecoveryStats stats;
+  auto dev = rebuild_from_flash(cfg, std::move(nand), &stats);
+  if (!dev) return dev;
+  // Epochs must never regress across a restart: a reused stamp would make
+  // two generations of a key indistinguishable to snapshot resolution.
+  // Pins themselves do not survive the crash — their holders see
+  // kSnapshotTooOld, never torn data.
+  (*dev)->snaps_->epochs.raise_to(stats.max_epoch);
+  (*dev)->finish_recovery();
+  if (stats_out) *stats_out = stats;
+  return dev;
+}
+
+Result<std::unique_ptr<KvssdDevice>> KvssdDevice::rebuild_from_flash(
+    DeviceConfig cfg, std::unique_ptr<flash::NandDevice> nand,
+    RecoveryStats* stats_out) {
   if (!nand) return Status::kInvalidArgument;
   if (nand->geometry().capacity_bytes() != cfg.geometry.capacity_bytes() ||
       nand->geometry().page_size != cfg.geometry.page_size) {
@@ -160,37 +176,33 @@ Result<std::unique_ptr<KvssdDevice>> KvssdDevice::recover(
   }
   stats.pages_read = dev->nand_->stats().page_reads;
   dev->live_bytes_ = stats.live_bytes;
-  // Epochs must never regress across a restart: a reused stamp would make
-  // two generations of a key indistinguishable to snapshot resolution.
-  // Pins themselves do not survive the crash — their holders see
-  // kSnapshotTooOld, never torn data.
-  dev->snaps_->epochs.raise_to(stats.max_epoch);
-
-  dev->enable_journaling();
-  if (dev->ckpt_) {
-    dev->ckpt_->init_from_flash();
-    // Full-scan result: re-checkpoint immediately so the next restart is
-    // O(dirty) again. Fast path: the restored state IS the checkpoint +
-    // journal lineage; journaling just continues past the replayed tail.
-    if (!ok(fallback)) {
-      (void)dev->ckpt_->checkpoint_now();
-    } else {
-      // Ghost pairs folded by the fast path exist only above the replayed
-      // journal horizon. Append their records first, so any journal flush
-      // this life (which advances the horizon past them) carries them.
-      for (const auto& gh : dev->rejournal_) {
-        if (gh.tombstone) {
-          dev->ckpt_->journal_del_located(gh.sig, gh.ppa);
-        } else {
-          dev->ckpt_->journal_put(gh.sig, gh.ppa);
-        }
-      }
-    }
-    dev->rejournal_.clear();
-  }
   dev->recovered_ = stats;
   if (stats_out) *stats_out = stats;
   return dev;
+}
+
+void KvssdDevice::finish_recovery() {
+  enable_journaling();
+  if (!ckpt_) return;
+  ckpt_->init_from_flash();
+  // Full-scan result: re-checkpoint immediately so the next restart is
+  // O(dirty) again. Fast path: the restored state IS the checkpoint +
+  // journal lineage; journaling just continues past the replayed tail.
+  if (recovered_->full_scan_fallback != 0) {
+    (void)ckpt_->checkpoint_now();
+  } else {
+    // Ghost pairs folded by the fast path exist only above the replayed
+    // journal horizon. Append their records first, so any journal flush
+    // this life (which advances the horizon past them) carries them.
+    for (const auto& gh : rejournal_) {
+      if (gh.tombstone) {
+        ckpt_->journal_del_located(gh.sig, gh.ppa);
+      } else {
+        ckpt_->journal_put(gh.sig, gh.ppa);
+      }
+    }
+  }
+  rejournal_.clear();
 }
 
 Status KvssdDevice::restore_from_checkpoint(const CheckpointManager::Found& found,
@@ -209,16 +221,20 @@ Status KvssdDevice::restore_from_checkpoint(const CheckpointManager::Found& foun
   // scan. Stream and wear come from the first page's spare; in-order,
   // program-once discipline means only the LAST programmed page of a
   // block can be torn, so dropping torn tails needs one read per block.
+  //
+  // Every read below is a view of the NAND's page image, charged like a
+  // copying read. A view dies with its block's erase (index write-backs
+  // during replay may collect), so each one is scoped to its read site.
   const auto& g = nand_->geometry();
-  Bytes page(g.page_size);
-  Bytes spare(g.spare_size());
   std::vector<std::uint32_t> valid_pages(img->block_live.size(), 0);
   for (std::uint32_t block = 0; block < img->block_live.size(); ++block) {
     const std::uint32_t programmed = nand_->pages_programmed(block);
     if (programmed == 0) continue;
     stats.blocks_adopted++;
+    ByteSpan page;
+    ByteSpan spare;
     ftl::Stream stream = ftl::Stream::kData;
-    if (ok(nand_->read_page(flash::make_ppa(g, block, 0), page, spare)) &&
+    if (ok(nand_->read_page_view(flash::make_ppa(g, block, 0), &page, &spare)) &&
         flash::page_crc_ok(g, page, spare)) {
       stream = ftl::SpareTag::decode(spare).stream;
       nand_->restore_erase_count(block, flash::spare_wear_stamp(g, spare));
@@ -227,7 +243,7 @@ Status KvssdDevice::restore_from_checkpoint(const CheckpointManager::Found& foun
     std::uint32_t valid = programmed;
     while (valid > 0) {
       const Status s =
-          nand_->read_page(flash::make_ppa(g, block, valid - 1), page, spare);
+          nand_->read_page_view(flash::make_ppa(g, block, valid - 1), &page, &spare);
       if (ok(s) && flash::page_crc_ok(g, page, spare)) break;
       stats.torn_pages_dropped++;
       --valid;
@@ -261,7 +277,9 @@ Status KvssdDevice::restore_from_checkpoint(const CheckpointManager::Found& foun
     const std::uint32_t block = flash::ppa_block(g, ppa);
     const std::uint32_t pg = flash::ppa_page(g, ppa);
     if (block >= valid_pages.size() || pg >= valid_pages[block]) return false;
-    if (!ok(nand_->read_page(ppa, page, spare))) return false;
+    ByteSpan page;
+    ByteSpan spare;
+    if (!ok(nand_->read_page_view(ppa, &page, &spare))) return false;
     if (!flash::page_crc_ok(g, page, spare) ||
         ftl::SpareTag::decode(spare).kind != ftl::PageKind::kDataHead) {
       return false;
@@ -421,7 +439,9 @@ Status KvssdDevice::restore_from_checkpoint(const CheckpointManager::Found& foun
   for (std::uint32_t block = 0; block < valid_pages.size(); ++block) {
     for (std::uint32_t pg = valid_pages[block]; pg-- > 0;) {
       const flash::Ppa ppa = flash::make_ppa(g, block, pg);
-      if (!ok(nand_->read_page(ppa, page, spare))) continue;  // extent gap
+      ByteSpan page;
+      ByteSpan spare;
+      if (!ok(nand_->read_page_view(ppa, &page, &spare))) continue;  // extent gap
       if (!flash::page_crc_ok(g, page, spare)) continue;
       const ftl::SpareTag tag = ftl::SpareTag::decode(spare);
       if (tag.kind == ftl::PageKind::kDataCont) continue;  // judged at head

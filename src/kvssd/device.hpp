@@ -109,6 +109,21 @@ class KvssdDevice : public api::IKvsBackend {
       DeviceConfig cfg, std::unique_ptr<flash::NandDevice> nand,
       RecoveryStats* stats_out = nullptr);
 
+  /// recover() in two stages, for devices that share one epoch source
+  /// and are rebuilt concurrently (the sharded array). Stage one —
+  /// rebuild_from_flash — power-cycles the array and restores index,
+  /// allocator and store (checkpoint fast path or full scan) without
+  /// touching the shared epoch source. The caller then raises that
+  /// source past every rebuilt device's `max_epoch` and calls
+  /// finish_recovery() on each: it re-arms journaling and, after a full
+  /// scan, writes a fresh checkpoint, which records the raised epoch.
+  static Result<std::unique_ptr<KvssdDevice>> rebuild_from_flash(
+      DeviceConfig cfg, std::unique_ptr<flash::NandDevice> nand,
+      RecoveryStats* stats_out);
+  /// Stage two; call exactly once, on a device rebuild_from_flash
+  /// returned, before any other use.
+  void finish_recovery();
+
   /// Relinquishes the NAND array (simulating power-off); the device must
   /// not be used afterwards. Call flush() first for clean shutdown.
   std::unique_ptr<flash::NandDevice> release_nand();

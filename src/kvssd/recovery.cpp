@@ -71,10 +71,14 @@ Result<RecoveryStats> recover_from_flash(flash::NandDevice& nand,
     std::uint64_t head_bytes = 0;  ///< portion resident in the head page
     bool tombstone = false;
   };
+  // Grown on demand, never reserve()d: the index is rebuilt in this map's
+  // iteration order, which decides hopscotch placement and cache
+  // write-backs, so the device clock after a restart depends on it.
   std::unordered_map<std::uint64_t, Winner> winners;
 
-  Bytes page(g.page_size);
-  Bytes spare(g.spare_size());
+  // Pages are read as views of the NAND's own image (same charge as a
+  // copying read). A view dies with its block's erase, and the sweep
+  // below erases, so every view stays inside its loop iteration.
   std::vector<std::uint32_t> adopted;
 
   // The controller-reserved checkpoint tail is not part of the log; its
@@ -92,7 +96,10 @@ Result<RecoveryStats> recover_from_flash(flash::NandDevice& nand,
     // program: nothing in the block was ever acknowledged, and it is
     // adopted with zero valid pages (pure GC fodder — it cannot rejoin
     // the free list with a non-zero write point).
-    if (Status s = nand.read_page(flash::make_ppa(g, block, 0), page, spare); !ok(s)) {
+    ByteSpan page;
+    ByteSpan spare;
+    if (Status s = nand.read_page_view(flash::make_ppa(g, block, 0), &page, &spare);
+        !ok(s)) {
       return s;
     }
     if (!flash::page_crc_ok(g, page, spare) || !tag_sane(ftl::SpareTag::decode(spare))) {
@@ -110,7 +117,8 @@ Result<RecoveryStats> recover_from_flash(flash::NandDevice& nand,
       // tries to decode a torn tail.
       std::uint32_t valid = 1;
       while (valid < programmed) {
-        if (Status s = nand.read_page(flash::make_ppa(g, block, valid), page, spare);
+        if (Status s =
+                nand.read_page_view(flash::make_ppa(g, block, valid), &page, &spare);
             !ok(s)) {
           return s;
         }
@@ -132,7 +140,7 @@ Result<RecoveryStats> recover_from_flash(flash::NandDevice& nand,
     std::uint32_t pg = 0;
     while (pg < programmed) {
       const Ppa ppa = flash::make_ppa(g, block, pg);
-      if (Status s = nand.read_page(ppa, page, spare); !ok(s)) return s;
+      if (Status s = nand.read_page_view(ppa, &page, &spare); !ok(s)) return s;
       if (!flash::page_crc_ok(g, page, spare)) break;
       const ftl::SpareTag tag = ftl::SpareTag::decode(spare);
       if (tag.kind != ftl::PageKind::kDataHead) break;
@@ -150,9 +158,13 @@ Result<RecoveryStats> recover_from_flash(flash::NandDevice& nand,
             ftl::continuation_pages(g, pairs->back().header.pair_bytes());
         bool complete = pg + 1 + need <= programmed;
         for (std::uint32_t c = 1; complete && c <= need; ++c) {
-          if (Status s = nand.read_page(ppa + c, page, spare); !ok(s)) return s;
-          complete = flash::page_crc_ok(g, page, spare) &&
-                     ftl::SpareTag::decode(spare).kind == ftl::PageKind::kDataCont;
+          ByteSpan cont;
+          ByteSpan cont_spare;
+          if (Status s = nand.read_page_view(ppa + c, &cont, &cont_spare); !ok(s)) {
+            return s;
+          }
+          complete = flash::page_crc_ok(g, cont, cont_spare) &&
+                     ftl::SpareTag::decode(cont_spare).kind == ftl::PageKind::kDataCont;
         }
         if (!complete) {
           stats.incomplete_extents_dropped++;

@@ -1,9 +1,13 @@
 #include "shard/sharded_kvssd.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <condition_variable>
+#include <exception>
 #include <mutex>
+#include <numeric>
+#include <utility>
 
 namespace rhik::shard {
 
@@ -32,6 +36,30 @@ class Gate {
 };
 
 Bytes owned(ByteSpan span) { return Bytes(span.begin(), span.end()); }
+
+/// Runs fn(i) for every shard index at once — shard 0 on the calling
+/// thread, every other shard on a thread of its own — and returns when
+/// all have finished. An exception is rethrown only after every thread
+/// has joined (the first, in shard order).
+template <class Fn>
+void run_per_shard(std::uint32_t n, const Fn& fn) {
+  std::vector<std::exception_ptr> errors(n);
+  const auto run = [&](std::uint32_t i) {
+    try {
+      fn(i);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(n - 1);
+  for (std::uint32_t i = 1; i < n; ++i) threads.emplace_back(run, i);
+  run(0);
+  for (auto& t : threads) t.join();
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+}
 
 std::vector<std::unique_ptr<kvssd::KvssdDevice>> build_devices(
     const ShardedConfig& cfg) {
@@ -104,22 +132,35 @@ Result<std::unique_ptr<ShardedKvssd>> ShardedKvssd::recover(
   const std::uint32_t n = std::max<std::uint32_t>(1, cfg.num_shards);
   if (nands.size() != n) return Status::kInvalidArgument;
 
-  // One shared snapshot context across the recovered shards; each
-  // shard's recover() raises its epoch past every stamp found on flash,
-  // so the shared source ends above the whole array's high-water.
+  // One shared snapshot context across the recovered shards.
   std::unique_ptr<ftl::SnapshotContext> ctx = adopt_context(cfg);
 
-  std::vector<std::unique_ptr<kvssd::KvssdDevice>> devices;
-  devices.reserve(n);
+  // Each shard rebuilds from its own NAND into its own device, so the
+  // shards scan concurrently, one thread each.
+  std::vector<std::unique_ptr<kvssd::KvssdDevice>> devices(n);
+  std::vector<kvssd::RecoveryStats> shard_stats(n);
+  std::vector<Status> status(n, Status::kOk);
+  run_per_shard(n, [&](std::uint32_t i) {
+    auto dev = kvssd::KvssdDevice::rebuild_from_flash(
+        cfg.device, std::move(nands[i]), &shard_stats[i]);
+    if (dev) {
+      devices[i] = std::move(dev).value();
+    } else {
+      status[i] = dev.status();
+    }
+  });
   kvssd::RecoveryStats merged;
-  for (auto& nand : nands) {
-    kvssd::RecoveryStats shard_stats;
-    auto dev = kvssd::KvssdDevice::recover(cfg.device, std::move(nand),
-                                           &shard_stats);
-    if (!dev) return dev.status();
-    merged.merge_from(shard_stats);
-    devices.push_back(std::move(*dev));
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (!ok(status[i])) return status[i];
+    merged.merge_from(shard_stats[i]);
   }
+
+  // Raise the shared epoch source past every stamp found on any shard
+  // BEFORE any shard finishes: a full-scan shard's finish writes a
+  // checkpoint recording the source's epoch, which must not depend on
+  // which sibling finished first.
+  cfg.device.snapshots->epochs.raise_to(merged.max_epoch);
+  run_per_shard(n, [&](std::uint32_t i) { devices[i]->finish_recovery(); });
 
   // Shards advance their clocks concurrently and array time is their
   // max; re-seed every clock to the slowest recovery scan so per-shard
@@ -451,18 +492,16 @@ void ShardedKvssd::submit_del_tagged(std::uint64_t tag, Bytes key) {
 
 // -- Barriers and whole-array introspection ------------------------------------
 
-std::uint64_t ShardedKvssd::completed_total() const {
-  std::uint64_t total = 0;
-  for (const auto& s : shards_) {
-    total += s->completed.load(std::memory_order_acquire);
-  }
-  return total;
-}
-
 std::size_t ShardedKvssd::drain() {
-  const std::uint64_t before = completed_total();
-  on_all([](std::uint32_t, kvssd::KvssdDevice&) {});
-  return static_cast<std::size_t>(completed_total() - before);
+  // Each worker hands over and resets its own count inside the barrier,
+  // so every command is counted by exactly one drain(), whatever other
+  // threads submit or drain meanwhile.
+  std::vector<std::uint64_t> done(shards_.size());
+  on_all([&](std::uint32_t sh, kvssd::KvssdDevice&) {
+    done[sh] = std::exchange(shards_[sh]->completed, 0);
+  });
+  return static_cast<std::size_t>(
+      std::accumulate(done.begin(), done.end(), std::uint64_t{0}));
 }
 
 Status ShardedKvssd::flush() {

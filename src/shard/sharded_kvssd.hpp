@@ -20,7 +20,6 @@
 // concurrently, so the slowest shard defines array wall-clock.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -55,12 +54,15 @@ class ShardedKvssd : public api::IKvsBackend {
   ShardedKvssd& operator=(const ShardedKvssd&) = delete;
 
   /// Power-loss recovery of a whole array: one NAND per shard, in shard
-  /// order (as returned by release_nands()). Each shard's device is
-  /// rebuilt via KvssdDevice::recover, per-shard RecoveryStats are
-  /// merged into `stats_out` (when non-null), and every shard clock is
-  /// re-seeded to the maximum adopted clock so post-recovery array time
-  /// stays the max across shards. `nands.size()` must equal
-  /// max(1, cfg.num_shards).
+  /// order (as returned by release_nands()). The shards are rebuilt
+  /// concurrently, one thread each, in KvssdDevice::recover's two stages
+  /// (the shared epoch source is raised for all of them in between), and
+  /// every thread is joined before the array starts its workers. The
+  /// first failing shard's Status (in shard order) fails the whole
+  /// restart. Per-shard RecoveryStats are merged in shard order into
+  /// `stats_out` (when non-null), and every shard clock is re-seeded to
+  /// the maximum adopted clock so post-recovery array time stays the max
+  /// across shards. `nands.size()` must equal max(1, cfg.num_shards).
   static Result<std::unique_ptr<ShardedKvssd>> recover(
       ShardedConfig cfg, std::vector<std::unique_ptr<flash::NandDevice>> nands,
       kvssd::RecoveryStats* stats_out = nullptr);
@@ -126,8 +128,8 @@ class ShardedKvssd : public api::IKvsBackend {
 
   /// Cross-shard barrier: waits until every command submitted before the
   /// call has completed on its shard. Returns how many queued commands
-  /// completed since the previous barrier (approximate under concurrent
-  /// submitters).
+  /// completed since the previous drain(): each is counted by exactly one
+  /// drain(), also under concurrent submitters and drainers.
   std::size_t drain() override;
   /// drain() + persists buffered data and index state on every shard.
   Status flush() override;
@@ -201,7 +203,9 @@ class ShardedKvssd : public api::IKvsBackend {
     std::unique_ptr<kvssd::KvssdDevice> dev;
     std::unique_ptr<SubmissionRing<ShardOp>> ring;
     std::thread worker;
-    std::atomic<std::uint64_t> completed{0};
+    /// Queued commands completed since the last drain(); touched only by
+    /// the worker (drain() reads it through a worker closure).
+    std::uint64_t completed = 0;
   };
 
   void worker_loop(Shard& s);
@@ -221,7 +225,6 @@ class ShardedKvssd : public api::IKvsBackend {
   api::TaggedCompletion run_command(api::TaggedCompletion cmd);
   /// First non-kOk status of `fn` across the shards (flush, checkpoint).
   Status all_ok(const std::function<Status(kvssd::KvssdDevice&)>& fn);
-  [[nodiscard]] std::uint64_t completed_total() const;
 
   ShardedConfig cfg_;
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "api/kvs.hpp"
+#include "test_keys.hpp"
 
 namespace rhik::api {
 namespace {
@@ -129,8 +130,8 @@ TEST(KvsApi, IteratorEnumeratesPrefix) {
   opts.enable_iterator = true;
   KvsDevice dev(opts);
   for (int i = 0; i < 10; ++i) {
-    ASSERT_EQ(dev.store("sess:" + std::to_string(i), "s"), KvsResult::KVS_SUCCESS);
-    ASSERT_EQ(dev.store("blob:" + std::to_string(i), "b"), KvsResult::KVS_SUCCESS);
+    ASSERT_EQ(dev.store(test::numbered("sess:", i), "s"), KvsResult::KVS_SUCCESS);
+    ASSERT_EQ(dev.store(test::numbered("blob:", i), "b"), KvsResult::KVS_SUCCESS);
   }
   std::vector<std::string> keys;
   ASSERT_EQ(scan(dev, "sess", &keys), KvsResult::KVS_SUCCESS);
@@ -175,9 +176,9 @@ TEST(KvsApi, ShardedIterateMergesShards) {
   KvsDevice dev(opts);
   ASSERT_TRUE(dev.sharded());
   for (int i = 0; i < 32; ++i) {
-    ASSERT_EQ(dev.store("sess:" + std::to_string(i), "s"),
+    ASSERT_EQ(dev.store(test::numbered("sess:", i), "s"),
               KvsResult::KVS_SUCCESS);
-    ASSERT_EQ(dev.store("blob:" + std::to_string(i), "b"),
+    ASSERT_EQ(dev.store(test::numbered("blob:", i), "b"),
               KvsResult::KVS_SUCCESS);
   }
   std::vector<std::string> keys;
@@ -200,7 +201,7 @@ TEST(KvsApi, IterateOrderDeterministicAcrossShardCounts) {
     opts.num_shards = shards;
     KvsDevice dev(opts);
     for (int i = 0; i < 64; ++i) {
-      ASSERT_EQ(dev.store("ord:" + std::to_string(i), "v"),
+      ASSERT_EQ(dev.store(test::numbered("ord:", i), "v"),
                 KvsResult::KVS_SUCCESS);
     }
     std::vector<std::string> keys, again;
@@ -219,8 +220,8 @@ TEST(KvsApi, AsyncStoreRetrievePoll) {
   KvsDevice dev(small_opts());
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < 8; ++i) {
-    ids.push_back(dev.store_async("k" + std::to_string(i),
-                                  "v" + std::to_string(i)));
+    ids.push_back(dev.store_async(test::numbered("k", i),
+                                  test::numbered("v", i)));
   }
   std::vector<KvsCompletion> done;
   while (done.size() < ids.size()) {
@@ -256,7 +257,7 @@ TEST(KvsApi, AsyncOnShardedArray) {
   KvsDevice dev(opts);
   std::set<std::uint64_t> pending;
   for (int i = 0; i < 16; ++i) {
-    pending.insert(dev.store_async("k" + std::to_string(i), "v"));
+    pending.insert(dev.store_async(test::numbered("k", i), "v"));
   }
   std::vector<KvsCompletion> done;
   while (done.size() < 16) dev.poll_completions(&done);
@@ -280,7 +281,7 @@ TEST(KvsApi, CheckpointRestartRoundTrip) {
   opts.enable_checkpoints = true;
   KvsDevice dev(opts);
   for (int i = 0; i < 200; ++i) {
-    ASSERT_EQ(dev.store("k" + std::to_string(i), "v" + std::to_string(i)),
+    ASSERT_EQ(dev.store(test::numbered("k", i), test::numbered("v", i)),
               KvsResult::KVS_SUCCESS);
   }
   ASSERT_EQ(dev.checkpoint(), KvsResult::KVS_SUCCESS);
@@ -290,9 +291,9 @@ TEST(KvsApi, CheckpointRestartRoundTrip) {
   EXPECT_EQ(stats.full_scan_fallback, 0u);
   for (int i = 0; i < 200; ++i) {
     Bytes value;
-    ASSERT_EQ(dev.retrieve("k" + std::to_string(i), &value),
+    ASSERT_EQ(dev.retrieve(test::numbered("k", i), &value),
               KvsResult::KVS_SUCCESS);
-    EXPECT_EQ(rhik::to_string(value), "v" + std::to_string(i));
+    EXPECT_EQ(rhik::to_string(value), test::numbered("v", i));
   }
 }
 
@@ -304,7 +305,7 @@ TEST(KvsApi, CheckpointRestartRoundTripSharded) {
   KvsDevice dev(opts);
   ASSERT_TRUE(dev.sharded());
   for (int i = 0; i < 200; ++i) {
-    ASSERT_EQ(dev.store("k" + std::to_string(i), "v" + std::to_string(i)),
+    ASSERT_EQ(dev.store(test::numbered("k", i), test::numbered("v", i)),
               KvsResult::KVS_SUCCESS);
   }
   ASSERT_EQ(dev.checkpoint(), KvsResult::KVS_SUCCESS);
@@ -314,9 +315,9 @@ TEST(KvsApi, CheckpointRestartRoundTripSharded) {
   EXPECT_EQ(stats.full_scan_fallback, 0u);
   for (int i = 0; i < 200; ++i) {
     Bytes value;
-    ASSERT_EQ(dev.retrieve("k" + std::to_string(i), &value),
+    ASSERT_EQ(dev.retrieve(test::numbered("k", i), &value),
               KvsResult::KVS_SUCCESS);
-    EXPECT_EQ(rhik::to_string(value), "v" + std::to_string(i));
+    EXPECT_EQ(rhik::to_string(value), test::numbered("v", i));
   }
 }
 
@@ -357,7 +358,7 @@ TEST(KvsApiSnapshot, HandleIteratorStreamsInBatches) {
   KvsDevice dev(opts);
   std::vector<std::string> expect;
   for (int i = 0; i < 50; ++i) {
-    const std::string k = "scan:" + std::to_string(i);
+    const std::string k = test::numbered("scan:", i);
     ASSERT_EQ(dev.store(k, "v"), KvsResult::KVS_SUCCESS);
     expect.push_back(k);
   }
@@ -392,7 +393,7 @@ TEST(KvsApiSnapshot, SnapshotBoundIteratorIgnoresLaterChurn) {
   KvsDevice dev(opts);
   std::vector<std::string> expect;
   for (int i = 0; i < 16; ++i) {
-    const std::string k = "pin:" + std::to_string(i);
+    const std::string k = test::numbered("pin:", i);
     ASSERT_EQ(dev.store(k, "v0"), KvsResult::KVS_SUCCESS);
     expect.push_back(k);
   }
@@ -403,7 +404,7 @@ TEST(KvsApiSnapshot, SnapshotBoundIteratorIgnoresLaterChurn) {
   // Churn after the pin: new keys, overwrites, a delete. None of it may
   // leak into the pinned scan.
   for (int i = 16; i < 32; ++i) {
-    ASSERT_EQ(dev.store("pin:" + std::to_string(i), "late"),
+    ASSERT_EQ(dev.store(test::numbered("pin:", i), "late"),
               KvsResult::KVS_SUCCESS);
   }
   ASSERT_EQ(dev.store("pin:0", "v1"), KvsResult::KVS_SUCCESS);
@@ -437,7 +438,7 @@ TEST(KvsApiSnapshot, ShardedSnapshotIsOneConsistentCut) {
   ASSERT_TRUE(dev.sharded());
   std::vector<std::string> expect;
   for (int i = 0; i < 32; ++i) {
-    const std::string k = "cut:" + std::to_string(i);
+    const std::string k = test::numbered("cut:", i);
     ASSERT_EQ(dev.store(k, "before"), KvsResult::KVS_SUCCESS);
     expect.push_back(k);
   }
@@ -445,13 +446,13 @@ TEST(KvsApiSnapshot, ShardedSnapshotIsOneConsistentCut) {
   ASSERT_EQ(dev.open_snapshot(&snap), KvsResult::KVS_SUCCESS);
   // Overwrite everything and add more, hitting every shard.
   for (int i = 0; i < 64; ++i) {
-    ASSERT_EQ(dev.store("cut:" + std::to_string(i), "after"),
+    ASSERT_EQ(dev.store(test::numbered("cut:", i), "after"),
               KvsResult::KVS_SUCCESS);
   }
   // Point reads at the pin return the pre-churn values on every shard.
   for (int i = 0; i < 32; ++i) {
     Bytes value;
-    ASSERT_EQ(dev.retrieve_at(snap, "cut:" + std::to_string(i), &value),
+    ASSERT_EQ(dev.retrieve_at(snap, test::numbered("cut:", i), &value),
               KvsResult::KVS_SUCCESS);
     EXPECT_EQ(rhik::to_string(value), "before") << i;
   }

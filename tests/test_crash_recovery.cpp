@@ -14,6 +14,7 @@
 
 #include <map>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "kvssd/device.hpp"
 #include "kvssd/recovery.hpp"
 #include "shard/sharded_kvssd.hpp"
+#include "test_keys.hpp"
 #include "test_seed.hpp"
 
 namespace rhik::kvssd {
@@ -134,7 +136,7 @@ TEST(CrashRecovery, CutDuringGcKeepsFlushedStateIntact) {
   // Build up stale churn so GC has real relocation work, then flush:
   // everything in ref is now the durability floor.
   for (int i = 0; i < 4000; ++i) {
-    const std::string k = "g" + std::to_string(rng.next_below(80));
+    const std::string k = test::numbered("g", rng.next_below(80));
     const std::string v(rng.next_range(150, 900), static_cast<char>('a' + i % 26));
     ASSERT_EQ(dev->put(key(k), key(v)), Status::kOk) << i;
     ref[k] = v;
@@ -186,7 +188,7 @@ TEST(CrashRecovery, CutInsideBackgroundQuantumKeepsFloor) {
     }
   });
   for (std::uint64_t i = 0; i < 4000; ++i) {
-    const std::string k = "b" + std::to_string(rng.next_below(80));
+    const std::string k = test::numbered("b", rng.next_below(80));
     const std::string v(rng.next_range(150, 900),
                         static_cast<char>('a' + rng.next_below(26)));
     dev->submit_put_tagged(i, Bytes(k.begin(), k.end()), Bytes(v.begin(), v.end()));
@@ -244,7 +246,7 @@ TEST(CrashRecovery, CutDuringPreEraseJournalFlushKeepsFloor) {
     std::map<std::string, std::string> ref;
     Rng rng(29);
     for (int i = 0; i < 2000; ++i) {
-      const std::string k = "j" + std::to_string(rng.next_below(60));
+      const std::string k = test::numbered("j", rng.next_below(60));
       const std::string v(rng.next_range(150, 900),
                           static_cast<char>('a' + i % 26));
       ASSERT_EQ(dev->put(key(k), key(v)), Status::kOk) << i;
@@ -257,8 +259,8 @@ TEST(CrashRecovery, CutDuringPreEraseJournalFlushKeepsFloor) {
     // drop them, but must never mangle them.
     std::map<std::string, std::string> pending;
     for (int i = 0; i < 8; ++i) {
-      const std::string k = "jp" + std::to_string(i);
-      const std::string v = "pending-" + std::to_string(i);
+      const std::string k = test::numbered("jp", i);
+      const std::string v = test::numbered("pending-", i);
       ASSERT_EQ(dev->put(key(k), key(v)), Status::kOk);
       pending[k] = v;
     }
@@ -315,13 +317,13 @@ TEST(CrashRecovery, CutDuringResizeStormKeepsFlushedKeys) {
     fi.arm_after(rng.next_range(20, 200));
     int since_flush = 0;
     while (!fi.powered_off()) {
-      const std::string k = "r" + std::to_string(next_key++);
+      const std::string k = test::numbered("r", next_key++);
       const std::string v = "val-" + k;
       if (dev->put(key(k), key(v)) != Status::kOk) continue;
       if (++since_flush >= 50 && ok(dev->flush())) {
         since_flush = 0;
         for (int i = life_start; i < next_key; ++i) {
-          const std::string fk = "r" + std::to_string(i);
+          const std::string fk = test::numbered("r", i);
           floor[fk] = "val-" + fk;
         }
       }
@@ -369,7 +371,7 @@ TEST(CrashRecovery, CutInsideIndexMigrationQuantumKeepsFloor) {
     std::map<std::string, std::string> ref;
     int next = 0;
     for (int i = 0; i < 600; ++i) {
-      const std::string k = "m" + std::to_string(next++);
+      const std::string k = test::numbered("m", next++);
       ASSERT_EQ(dev->put(key(k), key("mv-" + k)), Status::kOk);
       ref[k] = "mv-" + k;
     }
@@ -379,7 +381,7 @@ TEST(CrashRecovery, CutInsideIndexMigrationQuantumKeepsFloor) {
     // Acked-but-unflushed puts until a doubling opens its window.
     std::map<std::string, std::string> pending;
     while (!dev->index().maintenance_active()) {
-      const std::string k = "m" + std::to_string(next++);
+      const std::string k = test::numbered("m", next++);
       ASSERT_EQ(dev->put(key(k), key("mv-" + k)), Status::kOk);
       pending[k] = "mv-" + k;
     }
@@ -440,7 +442,7 @@ TEST(CrashRecovery, FastRestoreReplaysAcrossResizeWithoutFullScan) {
   int next = 0;
   const auto put_n = [&](int n) {
     for (int i = 0; i < n; ++i) {
-      const std::string k = "f" + std::to_string(next++);
+      const std::string k = test::numbered("f", next++);
       ASSERT_EQ(dev->put(key(k), key("fv-" + k)), Status::kOk);
       ref[k] = "fv-" + k;
     }
@@ -483,7 +485,7 @@ TEST(CrashRecovery, FullScanFallbackReportsItsReason) {
   base.checkpoint.dirty_pages = 1u << 30;  // explicit checkpoints only
   const auto fill = [](KvssdDevice& dev) {
     for (int i = 0; i < 100; ++i) {
-      const std::string k = "r" + std::to_string(i);
+      const std::string k = test::numbered("r", i);
       ASSERT_EQ(dev.put(key(k), key("v" + k)), Status::kOk);
     }
     ASSERT_EQ(dev.flush(), Status::kOk);
@@ -495,7 +497,7 @@ TEST(CrashRecovery, FullScanFallbackReportsItsReason) {
     auto dev = KvssdDevice::recover(cfg, std::move(nand), &rs);
     EXPECT_TRUE(dev.has_value());
     for (int i = 0; dev && i < 100; ++i) {
-      const std::string k = "r" + std::to_string(i);
+      const std::string k = test::numbered("r", i);
       Bytes value;
       EXPECT_EQ((*dev)->get(key(k), &value), Status::kOk) << k;
     }
@@ -559,21 +561,21 @@ TEST(ShardedRecovery, FlushedStateSurvivesAcrossAllShards) {
   auto arr = std::make_unique<shard::ShardedKvssd>(cfg);
 
   const auto value_of = [](int i) {
-    std::string v = "value-" + std::to_string(i);
+    std::string v = test::numbered("value-", i);
     v.resize(400, 'x');  // big enough that shards span several blocks
     return v;
   };
   for (int i = 0; i < 300; ++i) {
-    ASSERT_EQ(arr->put(key("key-" + std::to_string(i)), key(value_of(i))),
+    ASSERT_EQ(arr->put(key(test::numbered("key-", i)), key(value_of(i))),
               Status::kOk);
   }
   for (int i = 0; i < 300; i += 3) {
-    ASSERT_EQ(arr->del(key("key-" + std::to_string(i))), Status::kOk);
+    ASSERT_EQ(arr->del(key(test::numbered("key-", i))), Status::kOk);
   }
   ASSERT_EQ(arr->flush(), Status::kOk);
   // Post-flush tail: acked but possibly still in shard RAM buffers.
   for (int i = 0; i < 40; ++i) {
-    ASSERT_EQ(arr->put(key("tail-" + std::to_string(i)), key("tail-value")),
+    ASSERT_EQ(arr->put(key(test::numbered("tail-", i)), key("tail-value")),
               Status::kOk);
   }
 
@@ -589,7 +591,7 @@ TEST(ShardedRecovery, FlushedStateSurvivesAcrossAllShards) {
 
   for (int i = 0; i < 300; ++i) {
     Bytes value;
-    const Status st = arr->get(key("key-" + std::to_string(i)), &value);
+    const Status st = arr->get(key(test::numbered("key-", i)), &value);
     if (i % 3 == 0) {
       EXPECT_EQ(st, Status::kNotFound) << i;  // deletion stayed deleted
     } else {
@@ -599,7 +601,7 @@ TEST(ShardedRecovery, FlushedStateSurvivesAcrossAllShards) {
   }
   for (int i = 0; i < 40; ++i) {
     Bytes value;
-    const Status st = arr->get(key("tail-" + std::to_string(i)), &value);
+    const Status st = arr->get(key(test::numbered("tail-", i)), &value);
     if (st == Status::kOk) {
       EXPECT_EQ(rhik::to_string(value), "tail-value");
     } else {
@@ -626,7 +628,7 @@ TEST(ShardedRecovery, ShardClocksReseededToMax) {
   auto arr = std::make_unique<shard::ShardedKvssd>(cfg);
   // Skewed load → skewed shard clocks at power-off.
   for (int i = 0; i < 200; ++i) {
-    ASSERT_EQ(arr->put(key("skew-" + std::to_string(i % 17)),
+    ASSERT_EQ(arr->put(key(test::numbered("skew-", i % 17)),
                        key(std::string(600, 's'))),
               Status::kOk);
   }
@@ -671,8 +673,8 @@ TEST(ShardedRecovery, PowerCutOnOneShardRecoversArrayWide) {
   auto arr = std::make_unique<shard::ShardedKvssd>(cfg);
 
   for (int i = 0; i < 200; ++i) {
-    ASSERT_EQ(arr->put(key("floor-" + std::to_string(i)),
-                       key("fv-" + std::to_string(i))),
+    ASSERT_EQ(arr->put(key(test::numbered("floor-", i)),
+                       key(test::numbered("fv-", i))),
               Status::kOk);
   }
   ASSERT_EQ(arr->flush(), Status::kOk);  // quiescent: safe to poke a shard
@@ -683,7 +685,7 @@ TEST(ShardedRecovery, PowerCutOnOneShardRecoversArrayWide) {
   // Keep writing; ops routed to shard 2 start failing once its power
   // dies, the other shards keep acking.
   for (int i = 0; i < 400; ++i) {
-    (void)arr->put(key("burst-" + std::to_string(i)), key(std::string(300, 'b')));
+    (void)arr->put(key(test::numbered("burst-", i)), key(std::string(300, 'b')));
   }
   EXPECT_EQ(fi.stats().power_cuts, 1u);
 
@@ -696,8 +698,252 @@ TEST(ShardedRecovery, PowerCutOnOneShardRecoversArrayWide) {
 
   for (int i = 0; i < 200; ++i) {
     Bytes value;
-    ASSERT_EQ(arr->get(key("floor-" + std::to_string(i)), &value), Status::kOk) << i;
-    EXPECT_EQ(rhik::to_string(value), "fv-" + std::to_string(i));
+    ASSERT_EQ(arr->get(key(test::numbered("floor-", i)), &value), Status::kOk) << i;
+    EXPECT_EQ(rhik::to_string(value), test::numbered("fv-", i));
+  }
+}
+
+// --- Array restart golden ------------------------------------------------------
+//
+// Pins what an array restart produces — merged RecoveryStats, per-shard
+// clocks, the key set and the returned status — to constants, so the
+// shards may be rebuilt in any thread order without moving a figure.
+// Idle workers fold background maintenance in at timing-dependent
+// points, so the config turns that off (no background GC, no wear pass,
+// an index pre-sized past every doubling): the clocks then move with the
+// commands alone, and RHIK_STW_RESIZE cannot change them.
+
+enum class RestartPath { kFullScan, kCheckpoint, kFallbackThenCheckpoint };
+
+shard::ShardedConfig golden_restart_config(std::uint32_t shards, RestartPath path) {
+  shard::ShardedConfig cfg;
+  cfg.num_shards = shards;
+  cfg.device = crash_config();
+  cfg.device.gc.background_free_blocks = 0;
+  cfg.device.gc.wear_leveling_threshold = 0;
+  cfg.device.rhik.anticipated_keys = 2048;
+  cfg.device.checkpoint.enabled = path != RestartPath::kFullScan;
+  return cfg;
+}
+
+struct RestartFingerprint {
+  Status status = Status::kOk;
+  std::vector<SimTime> clocks;  ///< per shard, right after the restart
+  /// Every RecoveryStats counter, in declaration order.
+  std::vector<std::uint64_t> stats;
+  Status fallback_reason = Status::kOk;
+
+  bool operator==(const RestartFingerprint&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const RestartFingerprint& f) {
+  os << "{Status(" << static_cast<int>(f.status) << "), {";
+  for (const SimTime t : f.clocks) os << t << ", ";
+  os << "}, {";
+  for (const std::uint64_t v : f.stats) os << v << ", ";
+  return os << "}, Status(" << static_cast<int>(f.fallback_reason) << ")}";
+}
+
+RestartFingerprint fingerprint_of(const RecoveryStats& s) {
+  RestartFingerprint f;
+  f.stats = {s.blocks_adopted,         s.data_pages_scanned,
+             s.pairs_seen,             s.tombstones_seen,
+             s.keys_recovered,         s.live_bytes,
+             s.max_seq,                s.max_epoch,
+             s.torn_pages_dropped,     s.incomplete_extents_dropped,
+             s.wear_blocks_restored,   s.dead_blocks_reclaimed,
+             s.pages_read,             s.checkpoint_restored,
+             s.full_scan_fallback,     s.journal_pages_replayed,
+             s.journal_records_replayed, s.checkpoint_version};
+  f.fallback_reason = s.fallback_reason;
+  return f;
+}
+
+std::string golden_value(int i, int round) {
+  // Every 17th key spills into a continuation page.
+  std::string v = test::numbered("v", round);
+  v += '/';
+  v += std::to_string(i);
+  v.resize(i % 17 == 0 ? 6000 : 100 + static_cast<std::size_t>(i * 37) % 1500,
+           static_cast<char>('a' + (i + round) % 26));
+  return v;
+}
+
+/// Writes the golden workload through the array: a load, three rounds of
+/// overwrites and a delete pass, flushed. On the checkpoint path the
+/// checkpoint lands after the load, so the restart replays a journal.
+void write_golden_workload(shard::ShardedKvssd& arr, RestartPath path,
+                           std::map<std::string, std::optional<std::string>>& model) {
+  constexpr int kKeys = 360;
+  for (int i = 0; i < kKeys; ++i) {
+    const std::string k = test::numbered("g-", i);
+    model[k] = golden_value(i, 0);
+    ASSERT_EQ(arr.put(key(k), key(*model[k])), Status::kOk);
+  }
+  if (path == RestartPath::kCheckpoint) {
+    ASSERT_EQ(arr.checkpoint(), Status::kOk);
+  }
+  for (int round = 1; round <= 3; ++round) {
+    for (int i = round; i < kKeys; i += 2) {
+      const std::string k = test::numbered("g-", i);
+      model[k] = golden_value(i, round);
+      ASSERT_EQ(arr.put(key(k), key(*model[k])), Status::kOk);
+    }
+  }
+  for (int i = 0; i < kKeys; i += 5) {
+    const std::string k = test::numbered("g-", i);
+    model[k].reset();
+    ASSERT_EQ(arr.del(key(k)), Status::kOk);
+  }
+  ASSERT_EQ(arr.flush(), Status::kOk);
+}
+
+/// Restarts the array from its NANDs and fingerprints the restart; on
+/// success the recovered array replaces `arr`.
+RestartFingerprint restart_array(std::unique_ptr<shard::ShardedKvssd>& arr,
+                                 const shard::ShardedConfig& cfg) {
+  auto nands = arr->release_nands();
+  arr.reset();
+  RecoveryStats stats;
+  auto recovered = shard::ShardedKvssd::recover(cfg, std::move(nands), &stats);
+  if (!recovered) {
+    RestartFingerprint f;
+    f.status = recovered.status();
+    return f;
+  }
+  arr = std::move(recovered).value();
+  RestartFingerprint f = fingerprint_of(stats);
+  (void)arr->stats();  // a barrier: every worker is idle afterwards
+  for (std::uint32_t s = 0; s < arr->num_shards(); ++s) {
+    f.clocks.push_back(arr->shard_device(s).clock().now());
+  }
+  return f;
+}
+
+void expect_model(shard::ShardedKvssd& arr,
+                  const std::map<std::string, std::optional<std::string>>& model) {
+  std::uint64_t live = 0;
+  for (const auto& [k, v] : model) {
+    Bytes got;
+    const Status st = arr.get(key(k), &got);
+    if (v) {
+      ++live;
+      ASSERT_EQ(st, Status::kOk) << k;
+      EXPECT_EQ(rhik::to_string(got), *v) << k;
+    } else {
+      EXPECT_EQ(st, Status::kNotFound) << k;
+    }
+  }
+  EXPECT_EQ(arr.key_count(), live);
+}
+
+std::vector<RestartFingerprint> run_restart_golden(std::uint32_t shards,
+                                                   RestartPath path) {
+  const shard::ShardedConfig cfg = golden_restart_config(shards, path);
+  auto arr = std::make_unique<shard::ShardedKvssd>(cfg);
+  std::map<std::string, std::optional<std::string>> model;
+  write_golden_workload(*arr, path, model);
+  std::vector<RestartFingerprint> out;
+  if (::testing::Test::HasFatalFailure()) return out;
+  out.push_back(restart_array(arr, cfg));
+  if (!arr) return out;
+  expect_model(*arr, model);
+  if (path == RestartPath::kFallbackThenCheckpoint) {
+    // The full scan re-checkpointed every shard; the next restart
+    // restores from those checkpoints.
+    out.push_back(restart_array(arr, cfg));
+    if (arr) expect_model(*arr, model);
+  }
+  return out;
+}
+
+TEST(ShardedRecovery, ConcurrentRestartMatchesSerialGolden) {
+  struct Case {
+    std::uint32_t shards;
+    RestartPath path;
+    std::vector<RestartFingerprint> expected;
+  };
+  // Recorded from the serial restart. Stats fields in declaration order:
+  // blocks_adopted, data_pages_scanned, pairs_seen, tombstones_seen,
+  // keys_recovered, live_bytes, max_seq, max_epoch, torn_pages_dropped,
+  // incomplete_extents_dropped, wear_blocks_restored,
+  // dead_blocks_reclaimed, pages_read, checkpoint_restored,
+  // full_scan_fallback, journal_pages_replayed, journal_records_replayed,
+  // checkpoint_version.
+  constexpr Status kOk = Status::kOk;
+  constexpr Status kNoCkpt = Status::kNotFound;
+  constexpr Status kCkptOff = Status::kUnsupported;
+  const std::vector<Case> cases = {
+      {1, RestartPath::kFullScan,
+       {{kOk, {3342000},
+         {52, 286, 970, 72, 288, 336019, 286, 971, 0, 0, 52, 41, 973, 0, 1, 0, 0, 0},
+         kCkptOff}}},
+      {2, RestartPath::kFullScan,
+       {{kOk, {1708000, 1708000},
+         {54, 288, 970, 72, 288, 336019, 148, 971, 0, 0, 54, 43, 976, 0, 2, 0, 0, 0},
+         kCkptOff}}},
+      {4, RestartPath::kFullScan,
+       {{kOk, {860000, 860000, 860000, 860000},
+         {57, 286, 970, 72, 288, 336019, 84, 971, 0, 0, 57, 43, 961, 0, 4, 0, 0, 0},
+         kCkptOff}}},
+      {1, RestartPath::kCheckpoint,
+       {{kOk, {2268000},
+         {53, 0, 0, 0, 288, 426051, 1313, 971, 0, 0, 53, 0, 901, 1, 0, 4, 974, 1},
+         kOk}}},
+      {2, RestartPath::kCheckpoint,
+       {{kOk, {1278000, 1278000},
+         {55, 0, 0, 0, 288, 426051, 1173, 971, 0, 0, 55, 0, 956, 2, 0, 4, 978, 1},
+         kOk}}},
+      {4, RestartPath::kCheckpoint,
+       {{kOk, {690000, 690000, 690000, 690000},
+         {58, 0, 0, 0, 288, 426051, 1110, 971, 0, 0, 58, 0, 1026, 4, 0, 4, 994, 1},
+         kOk}}},
+      {1, RestartPath::kFallbackThenCheckpoint,
+       {{kOk, {3438000},
+         {52, 290, 970, 72, 288, 336019, 290, 971, 0, 0, 52, 42, 977, 0, 1, 0, 0, 0},
+         kNoCkpt},
+        {kOk, {168000},
+         {20, 0, 0, 0, 288, 336019, 1315, 971, 0, 0, 20, 0, 80, 1, 0, 0, 0, 1},
+         kOk}}},
+      {2, RestartPath::kFallbackThenCheckpoint,
+       {{kOk, {1778000, 1778000},
+         {55, 290, 970, 72, 288, 336019, 149, 971, 0, 0, 55, 43, 979, 0, 2, 0, 0, 0},
+         kNoCkpt},
+        {kOk, {116000, 116000},
+         {22, 0, 0, 0, 288, 336019, 1174, 971, 0, 0, 22, 0, 108, 2, 0, 0, 0, 1},
+         kOk}}},
+      {4, RestartPath::kFallbackThenCheckpoint,
+       {{kOk, {928000, 928000, 928000, 928000},
+         {57, 287, 970, 72, 288, 336019, 84, 971, 0, 0, 57, 43, 962, 0, 4, 0, 0, 0},
+         kNoCkpt},
+        {kOk, {90000, 90000, 90000, 90000},
+         {26, 0, 0, 0, 288, 336019, 1109, 971, 0, 0, 26, 0, 159, 4, 0, 0, 0, 1},
+         kOk}}},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(run_restart_golden(c.shards, c.path), c.expected)
+        << c.shards << " shards, path " << static_cast<int>(c.path);
+  }
+
+  // A shard that cannot be recovered fails the whole restart with its
+  // Status and leaves stats_out untouched, whatever the other shards do.
+  for (const std::uint32_t shards : {2u, 4u}) {
+    const shard::ShardedConfig cfg =
+        golden_restart_config(shards, RestartPath::kFullScan);
+    auto arr = std::make_unique<shard::ShardedKvssd>(cfg);
+    std::map<std::string, std::optional<std::string>> model;
+    write_golden_workload(*arr, RestartPath::kFullScan, model);
+    auto nands = arr->release_nands();
+    arr.reset();
+    SimClock clock;
+    nands[shards - 1] = std::make_unique<flash::NandDevice>(
+        flash::Geometry::tiny(32), cfg.device.latency, &clock);
+    RecoveryStats stats;
+    stats.pairs_seen = 12345;
+    auto recovered = shard::ShardedKvssd::recover(cfg, std::move(nands), &stats);
+    ASSERT_FALSE(recovered.has_value()) << shards;
+    EXPECT_EQ(recovered.status(), Status::kInvalidArgument) << shards;
+    EXPECT_EQ(stats.pairs_seen, 12345u) << shards;
   }
 }
 
@@ -762,7 +1008,7 @@ void run_crash_harness(const DeviceConfig& cfg, int crash_points,
     while (!fi.powered_off()) {
       ASSERT_LT(++op, 200000) << "life " << life << ": injector never fired"
                               << " (seed 0x" << std::hex << seed << ")";
-      const std::string k = "key-" + std::to_string(rng.next_below(universe));
+      const std::string k = test::numbered("key-", rng.next_below(universe));
       const std::uint64_t dice = rng.next_below(100);
       if (dice < 55) {
         const std::size_t len = rng.next_below(100) < 6

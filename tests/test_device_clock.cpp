@@ -21,6 +21,7 @@
 
 #include "kvssd/device.hpp"
 #include "shard/sharded_kvssd.hpp"
+#include "test_keys.hpp"
 
 namespace rhik {
 namespace {
@@ -87,22 +88,22 @@ Fingerprint fingerprint(std::vector<SimTime> clocks, std::uint64_t epoch,
 /// The sync half of the sequence, shared by the device and the arrays.
 void run_sync_verbs(api::IKvsBackend& be) {
   for (int i = 0; i < 24; ++i) {
-    ASSERT_EQ(be.put(owned("user:" + std::to_string(100 + i)), value_for(i)),
+    ASSERT_EQ(be.put(owned(test::numbered("user:", 100 + i)), value_for(i)),
               Status::kOk);
   }
   for (int i = 0; i < 8; ++i) {
-    ASSERT_EQ(be.put(owned("acct:" + std::to_string(i)), value_for(40 + i)),
+    ASSERT_EQ(be.put(owned(test::numbered("acct:", i)), value_for(40 + i)),
               Status::kOk);
   }
   Bytes v;
   for (int i = 0; i < 10; ++i) {
-    ASSERT_EQ(be.get(owned("user:" + std::to_string(100 + 2 * i)), &v),
+    ASSERT_EQ(be.get(owned(test::numbered("user:", 100 + 2 * i)), &v),
               Status::kOk);
   }
   EXPECT_EQ(be.get(owned("user:999"), &v), Status::kNotFound);
   EXPECT_EQ(be.get(owned("none:1"), &v), Status::kNotFound);
   for (int i = 0; i < 3; ++i) {
-    ASSERT_EQ(be.del(owned("user:" + std::to_string(101 + 5 * i))),
+    ASSERT_EQ(be.del(owned(test::numbered("user:", 101 + 5 * i))),
               Status::kOk);
   }
   EXPECT_EQ(be.del(owned("user:998")), Status::kNotFound);
@@ -146,11 +147,11 @@ TEST(DeviceClockGolden, SingleDeviceSyncAndDrainedCommands) {
   // A mixed drained batch: new puts, gets (hit and miss), deletes.
   std::uint64_t tag = 1;
   for (int i = 0; i < 8; ++i) {
-    dev.submit_put_tagged(tag++, owned("bulk:" + std::to_string(i)),
+    dev.submit_put_tagged(tag++, owned(test::numbered("bulk:", i)),
                           value_for(60 + i));
   }
   for (int i = 0; i < 4; ++i) {
-    dev.submit_get_tagged(tag++, owned("acct:" + std::to_string(i + 4)));
+    dev.submit_get_tagged(tag++, owned(test::numbered("acct:", i + 4)));
   }
   dev.submit_get_tagged(tag++, owned("bulk:404"));
   dev.submit_del_tagged(tag++, owned("acct:7"));
@@ -159,7 +160,7 @@ TEST(DeviceClockGolden, SingleDeviceSyncAndDrainedCommands) {
 
   // A get-only batch.
   for (int i = 0; i < 6; ++i) {
-    dev.submit_get_tagged(tag++, owned("user:" + std::to_string(102 + i)));
+    dev.submit_get_tagged(tag++, owned(test::numbered("user:", 102 + i)));
   }
   EXPECT_EQ(dev.drain(), 6u);
 

@@ -32,6 +32,7 @@
 #include "hash/hopscotch.hpp"
 #include "kvssd/device.hpp"
 #include "kvssd/recovery.hpp"
+#include "test_keys.hpp"
 #include "test_seed.hpp"
 
 namespace rhik::kvssd {
@@ -99,7 +100,7 @@ DeviceConfig device_config(const DiffConfig& dc) {
   return cfg;
 }
 
-std::string key_str(std::uint32_t k) { return "dk" + std::to_string(k); }
+std::string key_str(std::uint32_t k) { return test::numbered("dk", k); }
 
 std::vector<Op> generate_trace(std::uint64_t seed, bool zipf, int nops) {
   Rng rng(seed);
@@ -192,7 +193,7 @@ std::optional<std::string> run_trace(const DiffConfig& dc,
         const std::string v(op.val_len, op.fill);
         const Status s = dev->put(as_bytes(k), as_bytes(v));
         if (s != Status::kOk) {
-          return fail(i, op, "put returned " + std::to_string(int(s)));
+          return fail(i, op, test::numbered("put returned ", int(s)));
         }
         model[k] = v;
         break;
@@ -240,7 +241,7 @@ std::optional<std::string> run_trace(const DiffConfig& dc,
       case Op::Kind::kCollect: {
         const Status s = dev->gc().collect_one();
         if (s != Status::kOk && s != Status::kDeviceFull) {
-          return fail(i, op, "collect_one returned " + std::to_string(int(s)));
+          return fail(i, op, test::numbered("collect_one returned ", int(s)));
         }
         break;
       }
@@ -398,7 +399,7 @@ std::string write_artifact(std::uint64_t seed, const DiffConfig& dc,
                            const std::vector<Op>& trace,
                            const std::string& divergence) {
   const std::string path =
-      "rhik_diff_failure_" + std::to_string(seed) + ".txt";
+      test::numbered("rhik_diff_failure_", seed) + ".txt";
   if (std::FILE* f = std::fopen(path.c_str(), "w")) {
     std::fprintf(f, "seed: %llu\nindex: %s\nzipf: %d\ncheckpoint: %d\n",
                  static_cast<unsigned long long>(seed),

@@ -7,6 +7,7 @@
 #include "common/rng.hpp"
 #include "common/sim_clock.hpp"
 #include "ftl/gc.hpp"
+#include "test_keys.hpp"
 
 namespace rhik::ftl {
 namespace {
@@ -52,7 +53,7 @@ class GcTest : public ::testing::Test {
 
   /// Writes a pair and registers it in the mock index.
   void put(std::uint64_t sig, const std::string& value) {
-    const std::string key = "k" + std::to_string(sig);
+    const std::string key = test::numbered("k", sig);
     auto ppa = store_.write_pair(sig, as_bytes(key), as_bytes(value));
     ASSERT_TRUE(ppa);
     if (auto it = hooks_.map.find(sig); it != hooks_.map.end()) {
@@ -63,7 +64,7 @@ class GcTest : public ::testing::Test {
   }
 
   void del(std::uint64_t sig, std::size_t value_size) {
-    const std::string key = "k" + std::to_string(sig);
+    const std::string key = test::numbered("k", sig);
     const auto it = hooks_.map.find(sig);
     ASSERT_NE(it, hooks_.map.end());
     store_.note_stale(it->second, FlashKvStore::pair_bytes(key.size(), value_size));
@@ -119,7 +120,7 @@ TEST_F(GcTest, RelocatesLivePairsAndUpdatesIndex) {
     ASSERT_NE(it, hooks_.map.end());
     Bytes k, v;
     ASSERT_EQ(store_.read_pair(it->second, s, &k, &v), Status::kOk) << s;
-    EXPECT_EQ(rhik::to_string(k), "k" + std::to_string(s));
+    EXPECT_EQ(rhik::to_string(k), test::numbered("k", s));
     EXPECT_EQ(rhik::to_string(v), value);
   }
 }

@@ -7,6 +7,7 @@
 #include "common/rng.hpp"
 #include "common/sim_clock.hpp"
 #include "ftl/kv_store.hpp"
+#include "test_keys.hpp"
 
 namespace rhik::ftl {
 namespace {
@@ -71,7 +72,7 @@ TEST_F(StoreTest, PageRollsOverWhenFull) {
   flash::Ppa first = 0;
   flash::Ppa last = 0;
   for (int i = 0; i < 80; ++i) {
-    auto ppa = put(1000 + i, "key-" + std::to_string(i), std::string(90, 'x'));
+    auto ppa = put(1000 + i, test::numbered("key-", i), std::string(90, 'x'));
     ASSERT_TRUE(ppa);
     if (i == 0) first = *ppa;
     last = *ppa;
@@ -184,7 +185,7 @@ TEST_F(StoreTest, ManyPairsSurviveChurn) {
   Rng rng(4);
   std::vector<std::pair<std::uint64_t, flash::Ppa>> live;
   for (int i = 0; i < 500; ++i) {
-    const std::string key = "churn-" + std::to_string(i);
+    const std::string key = test::numbered("churn-", i);
     const std::string value(rng.next_range(1, 300), 'c');
     auto ppa = put(5000 + i, key, value);
     ASSERT_TRUE(ppa);
@@ -195,7 +196,7 @@ TEST_F(StoreTest, ManyPairsSurviveChurn) {
     const auto& [sig, ppa] = live[check.next_below(live.size())];
     Bytes k, v;
     ASSERT_EQ(store_.read_pair(ppa, sig, &k, &v), Status::kOk);
-    EXPECT_EQ(rhik::to_string(k), "churn-" + std::to_string(sig - 5000));
+    EXPECT_EQ(rhik::to_string(k), test::numbered("churn-", sig - 5000));
   }
 }
 

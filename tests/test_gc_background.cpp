@@ -12,6 +12,7 @@
 #include "common/sim_clock.hpp"
 #include "flash/address.hpp"
 #include "ftl/gc.hpp"
+#include "test_keys.hpp"
 #include "test_seed.hpp"
 
 namespace rhik::ftl {
@@ -53,7 +54,7 @@ struct Rig {
   }
 
   void put(std::uint64_t sig, const std::string& value) {
-    const std::string key = "k" + std::to_string(sig);
+    const std::string key = test::numbered("k", sig);
     auto ppa = store.write_pair(sig, as_bytes(key), as_bytes(value));
     ASSERT_TRUE(ppa);
     if (auto it = expect.find(sig); it != expect.end()) {
@@ -67,7 +68,7 @@ struct Rig {
   void del(std::uint64_t sig) {
     const auto it = expect.find(sig);
     ASSERT_NE(it, expect.end());
-    const std::string key = "k" + std::to_string(sig);
+    const std::string key = test::numbered("k", sig);
     store.note_stale(hooks.map[sig],
                      FlashKvStore::pair_bytes(key.size(), it->second.size()));
     hooks.map.erase(sig);
@@ -99,7 +100,7 @@ struct Rig {
 
     std::uint64_t expect_sum = 0;
     for (const auto& [sig, value] : expect) {
-      const std::string key = "k" + std::to_string(sig);
+      const std::string key = test::numbered("k", sig);
       expect_sum += FlashKvStore::pair_bytes(key.size(), value.size());
       const auto it = hooks.map.find(sig);
       ASSERT_NE(it, hooks.map.end()) << sig;

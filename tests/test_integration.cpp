@@ -11,6 +11,7 @@
 #include "kvssd/device.hpp"
 #include "workload/keygen.hpp"
 #include "workload/replay.hpp"
+#include "test_keys.hpp"
 
 namespace rhik {
 namespace {
@@ -124,7 +125,7 @@ TEST(Integration, RestartFromDirectoryCheckpoint) {
     for (int i = 0; i < 2000; ++i) {
       const std::uint64_t id = rng.next_below(100000);
       const Bytes k = workload::key_for_id(id, 16);
-      const std::string v = "value-" + std::to_string(id);
+      const std::string v = test::numbered("value-", id);
       const std::uint64_t sig = hash::murmur2_64(k);
       auto ppa = store.write_pair(sig, k, as_bytes(v));
       ASSERT_TRUE(ppa);

@@ -10,6 +10,7 @@
 
 #include "hash/murmur.hpp"
 #include "kvssd/device.hpp"
+#include "test_keys.hpp"
 
 namespace rhik::kvssd {
 namespace {
@@ -27,10 +28,10 @@ class IteratorTest : public ::testing::Test {
  protected:
   void SetUp() override {
     for (int i = 0; i < 25; ++i) {
-      ASSERT_EQ(dev_.put(key("user:" + std::to_string(i)),
-                         key("u" + std::to_string(i))),
+      ASSERT_EQ(dev_.put(key(test::numbered("user:", i)),
+                         key(test::numbered("u", i))),
                 Status::kOk);
-      ASSERT_EQ(dev_.put(key("item:" + std::to_string(i)), key("i")), Status::kOk);
+      ASSERT_EQ(dev_.put(key(test::numbered("item:", i)), key("i")), Status::kOk);
     }
   }
   /// Drains a fresh key iterator over `prefix`.
@@ -82,7 +83,7 @@ TEST_F(IteratorTest, KeyValueIteratorReturnsValues) {
   while (mgr.next(*handle, 10, &batch) == Status::kOk) {
     for (const auto& e : batch) {
       const std::string k = rhik::to_string(ByteSpan{e.key});
-      EXPECT_EQ(rhik::to_string(ByteSpan{e.value}), "u" + k.substr(5));
+      EXPECT_EQ(rhik::to_string(ByteSpan{e.value}), std::string("u").append(k, 5));
       ++total;
     }
   }
@@ -188,7 +189,7 @@ TEST_F(IteratorTest, PinnedScanOpenedAfterChurnSeesSnapshotKeys) {
     for (const auto& k : keys) seen.insert(rhik::to_string(ByteSpan{k}));
   }
   std::set<std::string> want;
-  for (int i = 0; i < 25; ++i) want.insert("user:" + std::to_string(i));
+  for (int i = 0; i < 25; ++i) want.insert(test::numbered("user:", i));
   EXPECT_EQ(seen, want);
   EXPECT_EQ(dev_.kvs_close_iterator(*handle), Status::kOk);
   EXPECT_EQ(dev_.release_snapshot(*snap), Status::kOk);
@@ -252,7 +253,7 @@ TEST(Batch, AmortizesCommandOverhead) {
 
   KvssdDevice singles(cfg);
   for (int i = 0; i < 50; ++i) {
-    ASSERT_EQ(singles.put(key("k" + std::to_string(i)), key("v")), Status::kOk);
+    ASSERT_EQ(singles.put(key(test::numbered("k", i)), key("v")), Status::kOk);
   }
 
   KvssdDevice batched(cfg);
@@ -264,7 +265,7 @@ TEST(Batch, AmortizesCommandOverhead) {
     }
   });
   for (int i = 0; i < 50; ++i) {
-    const std::string k = "k" + std::to_string(i);
+    const std::string k = test::numbered("k", i);
     batched.submit_put_tagged(i, Bytes(k.begin(), k.end()), Bytes{'v'});
   }
   ASSERT_EQ(batched.drain(), 50u);

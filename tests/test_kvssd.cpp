@@ -11,6 +11,7 @@
 #include "hash/murmur.hpp"
 #include "kvssd/device.hpp"
 #include "kvssd/pm983_model.hpp"
+#include "test_keys.hpp"
 
 namespace rhik::kvssd {
 namespace {
@@ -117,7 +118,7 @@ TEST(Kvssd, FillsManyKeysAcrossResizes) {
   std::unordered_map<std::string, std::string> ref;
   Rng rng(7);
   for (int i = 0; i < 4000; ++i) {
-    const std::string k = "key-" + std::to_string(i);
+    const std::string k = test::numbered("key-", i);
     const std::string v(rng.next_range(8, 64), static_cast<char>('a' + i % 26));
     const Status s = dev.put(key(k), key(v));
     if (s == Status::kDeviceFull) break;
@@ -141,7 +142,7 @@ TEST(Kvssd, QuiescentDeviceDrainsMigrationInBackground) {
   // Fill until a doubling opens a migration window.
   int stored = 0;
   while (!dev.index().maintenance_active()) {
-    const std::string k = "key-" + std::to_string(stored++);
+    const std::string k = test::numbered("key-", stored++);
     ASSERT_EQ(dev.put(key(k), key("v")), Status::kOk);
   }
   // No further foreground traffic: the idle pump alone must drain the
@@ -153,7 +154,7 @@ TEST(Kvssd, QuiescentDeviceDrainsMigrationInBackground) {
   // Everything stored before and during the window still resolves.
   for (int i = 0; i < stored; ++i) {
     Bytes value;
-    ASSERT_EQ(dev.get(key("key-" + std::to_string(i)), &value), Status::kOk);
+    ASSERT_EQ(dev.get(key(test::numbered("key-", i)), &value), Status::kOk);
   }
 }
 
@@ -165,7 +166,7 @@ TEST(Kvssd, GcReclaimsChurnedSpace) {
   // this is ~3x the raw flash.
   const std::string v(2000, 'x');
   for (int i = 0; i < 12000; ++i) {
-    const std::string k = "churn-" + std::to_string(rng.next_below(100));
+    const std::string k = test::numbered("churn-", rng.next_below(100));
     ASSERT_EQ(dev.put(key(k), key(v)), Status::kOk) << i;
   }
   EXPECT_GT(dev.gc().stats().blocks_reclaimed, 0u);
@@ -175,7 +176,7 @@ TEST(Kvssd, GcReclaimsChurnedSpace) {
   // Working set still fully readable.
   for (int i = 0; i < 100; ++i) {
     Bytes value;
-    const std::string k = "churn-" + std::to_string(i);
+    const std::string k = test::numbered("churn-", i);
     if (dev.get(key(k), &value) == Status::kOk) {
       EXPECT_EQ(value.size(), v.size());
     }
@@ -189,7 +190,7 @@ TEST(Kvssd, DeviceFullSurfacesWhenNoReclaimableSpace) {
   Status last = Status::kOk;
   int stored = 0;
   for (int i = 0; i < 4000; ++i) {
-    const std::string k = "fill-" + std::to_string(i);
+    const std::string k = test::numbered("fill-", i);
     last = dev.put(key(k), key(std::string(900, 'f')));
     if (!ok(last)) break;
     ++stored;
@@ -201,7 +202,7 @@ TEST(Kvssd, DeviceFullSurfacesWhenNoReclaimableSpace) {
   EXPECT_EQ(dev.get(key("fill-0"), &value), Status::kOk);
   // Deleting makes room again.
   for (int i = 0; i < stored / 2; ++i) {
-    ASSERT_EQ(dev.del(key("fill-" + std::to_string(i))), Status::kOk);
+    ASSERT_EQ(dev.del(key(test::numbered("fill-", i))), Status::kOk);
   }
   EXPECT_EQ(dev.put(key("again"), key("fits-now")), Status::kOk);
 }
@@ -214,7 +215,7 @@ TEST(Kvssd, AsyncDrainsAndPipelinesOverhead) {
   // Sync run.
   KvssdDevice sync_dev(cfg);
   for (int i = 0; i < 200; ++i) {
-    ASSERT_EQ(sync_dev.put(key("k" + std::to_string(i)), key("v")), Status::kOk);
+    ASSERT_EQ(sync_dev.put(key(test::numbered("k", i)), key("v")), Status::kOk);
   }
   const SimTime sync_time = sync_dev.clock().now();
 
@@ -229,7 +230,7 @@ TEST(Kvssd, AsyncDrainsAndPipelinesOverhead) {
     }
   });
   for (int i = 0; i < 200; ++i) {
-    async_dev.submit_put_tagged(i, owned("k" + std::to_string(i)), owned("v"));
+    async_dev.submit_put_tagged(i, owned(test::numbered("k", i)), owned("v"));
   }
   EXPECT_EQ(async_dev.drain(), 200u);
   EXPECT_EQ(completed, 200);
@@ -296,8 +297,8 @@ TEST(Kvssd, IteratePrefixEnumeratesExactMatches) {
   cfg.prefix_signatures = true;  // §VI iterator extension
   KvssdDevice dev(cfg);
   for (int i = 0; i < 20; ++i) {
-    ASSERT_EQ(dev.put(key("user:" + std::to_string(i)), key("u")), Status::kOk);
-    ASSERT_EQ(dev.put(key("acct:" + std::to_string(i)), key("a")), Status::kOk);
+    ASSERT_EQ(dev.put(key(test::numbered("user:", i)), key("u")), Status::kOk);
+    ASSERT_EQ(dev.put(key(test::numbered("acct:", i)), key("a")), Status::kOk);
   }
   std::vector<Bytes> keys;
   ASSERT_EQ(scan_prefix(dev, "user", &keys), Status::kOk);
@@ -313,7 +314,7 @@ TEST(Kvssd, IteratePrefixEnumeratesExactMatches) {
 TEST(Kvssd, MlHashBackendWorksEndToEnd) {
   KvssdDevice dev(small_config(IndexKind::kMlHash));
   for (int i = 0; i < 500; ++i) {
-    ASSERT_EQ(dev.put(key("mk" + std::to_string(i)), key("value")), Status::kOk);
+    ASSERT_EQ(dev.put(key(test::numbered("mk", i)), key("value")), Status::kOk);
   }
   Bytes value;
   ASSERT_EQ(dev.get(key("mk42"), &value), Status::kOk);
@@ -335,11 +336,11 @@ TEST(Kvssd, FlushPersistsOpenBuffers) {
 TEST(Kvssd, LatencyHistogramsPopulate) {
   KvssdDevice dev(small_config());
   for (int i = 0; i < 50; ++i) {
-    ASSERT_EQ(dev.put(key("h" + std::to_string(i)), key("v")), Status::kOk);
+    ASSERT_EQ(dev.put(key(test::numbered("h", i)), key("v")), Status::kOk);
   }
   Bytes value;
   for (int i = 0; i < 50; ++i) {
-    ASSERT_EQ(dev.get(key("h" + std::to_string(i)), &value), Status::kOk);
+    ASSERT_EQ(dev.get(key(test::numbered("h", i)), &value), Status::kOk);
   }
   EXPECT_EQ(dev.stats().put_latency_ns.count(), 50u);
   EXPECT_EQ(dev.stats().get_latency_ns.count(), 50u);

@@ -20,6 +20,7 @@
 #include "net/protocol.hpp"
 #include "net/server.hpp"
 #include "obs/metrics.hpp"
+#include "test_keys.hpp"
 
 namespace rhik::net {
 namespace {
@@ -173,8 +174,8 @@ TEST(NetServer, PipelinedBatchAllAnswered) {
   constexpr int kN = 200;
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < kN; ++i) {
-    ids.push_back(c.submit_put("p:" + std::to_string(i),
-                               "v" + std::to_string(i)));
+    ids.push_back(c.submit_put(test::numbered("p:", i),
+                               test::numbered("v", i)));
   }
   ASSERT_EQ(c.flush(), Status::kOk);
   // Responses may arrive out of order; every id must be answered once.
@@ -228,7 +229,7 @@ TEST(NetServer, IterateSortedOverShardedBackend) {
   ASSERT_TRUE(fx.dev.sharded());
   KvClient c = fx.client(7);
   for (int i = 0; i < 32; ++i) {
-    ASSERT_EQ(c.put("it:" + std::to_string(i), "v"), KvsResult::KVS_SUCCESS);
+    ASSERT_EQ(c.put(test::numbered("it:", i), "v"), KvsResult::KVS_SUCCESS);
   }
   std::vector<std::string> keys;
   ASSERT_EQ(c.iterate("it:", 0, &keys), KvsResult::KVS_SUCCESS);
@@ -261,7 +262,7 @@ TEST(NetServer, RateLimitedTenantSeesQueueFullThenRecovers) {
 
   int ok = 0, throttled = 0;
   for (int i = 0; i < 60; ++i) {
-    const KvsResult r = c.put("rl:" + std::to_string(i), "v");
+    const KvsResult r = c.put(test::numbered("rl:", i), "v");
     if (r == KvsResult::KVS_SUCCESS) ok++;
     else if (r == KvsResult::KVS_ERR_QUEUE_FULL) throttled++;
     else FAIL() << "unexpected status " << api::to_string(r);
@@ -289,7 +290,7 @@ TEST(NetServer, AdmissionCapAnswersEveryRequest) {
   constexpr int kN = 64;
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < kN; ++i) {
-    ids.push_back(c.submit_put("adm:" + std::to_string(i), "v"));
+    ids.push_back(c.submit_put(test::numbered("adm:", i), "v"));
   }
   ASSERT_EQ(c.flush(), Status::kOk);
   int ok = 0, rejected = 0;
@@ -331,7 +332,7 @@ TEST(NetServer, GracefulStopDrainsPipelinedResponses) {
   KvClient c = fx.client();
   constexpr int kN = 200;
   for (int i = 0; i < kN; ++i) {
-    c.submit_put("drain:" + std::to_string(i), std::string(128, 'x'));
+    c.submit_put(test::numbered("drain:", i), std::string(128, 'x'));
   }
   ASSERT_EQ(c.flush(), Status::kOk);
   // Wait until the server has admitted the whole batch — requests still
@@ -360,7 +361,7 @@ TEST(NetServer, KilledClientMidPipelineLeavesServerHealthy) {
   {
     KvClient doomed = fx.client();
     for (int i = 0; i < 256; ++i) {
-      doomed.submit_put("kill:" + std::to_string(i), std::string(256, 'y'));
+      doomed.submit_put(test::numbered("kill:", i), std::string(256, 'y'));
     }
     ASSERT_EQ(doomed.flush(), Status::kOk);
     // Destructor closes the socket with every response undelivered.
@@ -405,9 +406,9 @@ TEST(NetServer, ConcurrentClientsMultiWorkerMixedOps) {
         return;
       }
       for (int i = 0; i < kOpsPer; ++i) {
-        const std::string key = "t" + std::to_string(t) + ":" +
+        const std::string key = test::numbered("t", t) + ":" +
                                 std::to_string(i % 37);
-        KvsResult r = c.put(key, "v" + std::to_string(i));
+        KvsResult r = c.put(key, test::numbered("v", i));
         if (r != KvsResult::KVS_SUCCESS) failures.fetch_add(1);
         Bytes v;
         r = c.get(key, &v);
@@ -437,7 +438,7 @@ TEST(NetServerCursor, StreamsBeyondOneShotCeiling) {
   KvClient c = fx.client(1);
   std::vector<std::string> expect;
   for (int i = 0; i < 30; ++i) {
-    const std::string k = "big:" + std::to_string(i);
+    const std::string k = test::numbered("big:", i);
     ASSERT_EQ(c.put(k, "v"), KvsResult::KVS_SUCCESS);
     expect.push_back(k);
   }
@@ -467,7 +468,7 @@ TEST(NetServerCursor, PinsOneEpochUnderChurn) {
   KvClient c = fx.client(2);
   std::vector<std::string> expect;
   for (int i = 0; i < 12; ++i) {
-    const std::string k = "chn:" + std::to_string(i);
+    const std::string k = test::numbered("chn:", i);
     ASSERT_EQ(c.put(k, "v0"), KvsResult::KVS_SUCCESS);
     expect.push_back(k);
   }
@@ -477,7 +478,7 @@ TEST(NetServerCursor, PinsOneEpochUnderChurn) {
   // Churn after the cursor pinned its epoch: new keys, an overwrite and
   // a delete. None of it may leak into the pinned scan.
   for (int i = 12; i < 24; ++i) {
-    ASSERT_EQ(c.put("chn:" + std::to_string(i), "late"),
+    ASSERT_EQ(c.put(test::numbered("chn:", i), "late"),
               KvsResult::KVS_SUCCESS);
   }
   ASSERT_EQ(c.put("chn:0", "v1"), KvsResult::KVS_SUCCESS);

@@ -10,6 +10,7 @@
 #include "kvssd/device.hpp"
 #include "kvssd/recovery.hpp"
 #include "workload/keygen.hpp"
+#include "test_keys.hpp"
 
 namespace rhik::kvssd {
 namespace {
@@ -70,7 +71,7 @@ TEST(Tombstone, SequenceNumbersMonotonicAcrossPages) {
   ftl::FlashKvStore store(&nand, &alloc);
   // Several pages of pairs plus an extent in the middle.
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(store.write_pair(i + 1, key("k" + std::to_string(i)),
+    ASSERT_TRUE(store.write_pair(i + 1, key(test::numbered("k", i)),
                                  key(std::string(400, 'v'))));
   }
   ASSERT_TRUE(store.write_pair(1000, key("big"), key(std::string(9000, 'B'))));
@@ -95,7 +96,7 @@ TEST(Recovery, CleanShutdownRestoresEverything) {
   std::unordered_map<std::string, std::string> ref;
   Rng rng(3);
   for (int i = 0; i < 800; ++i) {
-    const std::string k = "key-" + std::to_string(i);
+    const std::string k = test::numbered("key-", i);
     const std::string v(rng.next_range(4, 200), static_cast<char>('a' + i % 26));
     ASSERT_EQ(dev->put(key(k), key(v)), Status::kOk);
     ref[k] = v;
@@ -126,7 +127,7 @@ TEST(Recovery, NewestVersionWins) {
   ASSERT_EQ(dev->put(key("k"), key("version-1")), Status::kOk);
   // Push the first version onto flash and far from the update.
   for (int i = 0; i < 200; ++i) {
-    ASSERT_EQ(dev->put(key("filler" + std::to_string(i)), key(std::string(200, 'f'))),
+    ASSERT_EQ(dev->put(key(test::numbered("filler", i)), key(std::string(200, 'f'))),
               Status::kOk);
   }
   ASSERT_EQ(dev->put(key("k"), key("version-2")), Status::kOk);
@@ -165,7 +166,7 @@ TEST(Recovery, SurvivesGcBeforeCrash) {
   Rng rng(5);
   // Churn hard enough to cycle GC several times, with deletions.
   for (int step = 0; step < 16000; ++step) {
-    const std::string k = "c" + std::to_string(rng.next_below(150));
+    const std::string k = test::numbered("c", rng.next_below(150));
     if (rng.next_below(10) < 8) {
       const std::string v(rng.next_range(100, 1500), static_cast<char>('a' + step % 26));
       ASSERT_EQ(dev->put(key(k), key(v)), Status::kOk) << step;
@@ -188,14 +189,14 @@ TEST(Recovery, SurvivesGcBeforeCrash) {
 TEST(Recovery, DeviceRemainsFullyOperationalAfterRecovery) {
   auto dev = std::make_unique<KvssdDevice>(small_config());
   for (int i = 0; i < 500; ++i) {
-    ASSERT_EQ(dev->put(key("pre" + std::to_string(i)), key(std::string(100, 'p'))),
+    ASSERT_EQ(dev->put(key(test::numbered("pre", i)), key(std::string(100, 'p'))),
               Status::kOk);
   }
   auto dev2 = power_cycle(std::move(dev), /*clean_shutdown=*/true);
   // Writes, updates, deletes and GC all work on the adopted flash. The
   // churn exceeds the 8 MiB device several times over, forcing GC.
   for (int i = 0; i < 12000; ++i) {
-    ASSERT_EQ(dev2->put(key("post" + std::to_string(i % 300)),
+    ASSERT_EQ(dev2->put(key(test::numbered("post", i % 300)),
                         key(std::string(800, 'q'))),
               Status::kOk)
         << i;
@@ -236,7 +237,7 @@ TEST(Recovery, MismatchedGeometryRejected) {
 TEST(Recovery, StatsReportScanResults) {
   auto dev = std::make_unique<KvssdDevice>(small_config());
   for (int i = 0; i < 300; ++i) {
-    ASSERT_EQ(dev->put(key("s" + std::to_string(i)), key(std::string(50, 's'))),
+    ASSERT_EQ(dev->put(key(test::numbered("s", i)), key(std::string(50, 's'))),
               Status::kOk);
   }
   ASSERT_EQ(dev->del(key("s0")), Status::kOk);
@@ -269,14 +270,14 @@ TEST(Recovery, MultiPageExtentLivenessSurvivesGc) {
   const std::string big(9000, 'B');  // head + 3 continuation pages @4KiB
   ASSERT_EQ(dev->put(key("big"), key(big)), Status::kOk);
   for (int i = 0; i < 100; ++i) {
-    ASSERT_EQ(dev->put(key("f" + std::to_string(i)), key(std::string(200, 'f'))),
+    ASSERT_EQ(dev->put(key(test::numbered("f", i)), key(std::string(200, 'f'))),
               Status::kOk);
   }
   auto dev2 = power_cycle(std::move(dev), /*clean_shutdown=*/true);
 
   // Churn far past capacity so GC cycles every reclaimable block.
   for (int i = 0; i < 14000; ++i) {
-    ASSERT_EQ(dev2->put(key("churn" + std::to_string(i % 200)),
+    ASSERT_EQ(dev2->put(key(test::numbered("churn", i % 200)),
                         key(std::string(700, 'c'))),
               Status::kOk)
         << i;
@@ -295,7 +296,7 @@ TEST(Recovery, GcRelocatedTombstoneStaysDeletedAfterRecovery) {
   ASSERT_EQ(dev->put(key("dead"), key(std::string(100, 'd'))), Status::kOk);
   // Live neighbours keep the pre-delete pair's block OFF the victim list.
   for (int i = 0; i < 60; ++i) {
-    ASSERT_EQ(dev->put(key("keep" + std::to_string(i)), key(std::string(800, 'k'))),
+    ASSERT_EQ(dev->put(key(test::numbered("keep", i)), key(std::string(800, 'k'))),
               Status::kOk);
   }
   ASSERT_EQ(dev->flush(), Status::kOk);
@@ -304,11 +305,11 @@ TEST(Recovery, GcRelocatedTombstoneStaysDeletedAfterRecovery) {
   // Surround the tombstone with pairs, then stale them all out with
   // overwrites: the tombstone's block becomes the min-live victim.
   for (int i = 0; i < 200; ++i) {
-    ASSERT_EQ(dev->put(key("s" + std::to_string(i)), key(std::string(300, '1'))),
+    ASSERT_EQ(dev->put(key(test::numbered("s", i)), key(std::string(300, '1'))),
               Status::kOk);
   }
   for (int i = 0; i < 200; ++i) {
-    ASSERT_EQ(dev->put(key("s" + std::to_string(i)), key(std::string(300, '2'))),
+    ASSERT_EQ(dev->put(key(test::numbered("s", i)), key(std::string(300, '2'))),
               Status::kOk);
   }
   ASSERT_EQ(dev->flush(), Status::kOk);
@@ -346,7 +347,7 @@ TEST(Recovery, WearCountsRestoredFromSpareStamps) {
   Rng rng(11);
   // Churn past capacity so GC erases blocks and wear accumulates.
   for (int i = 0; i < 16000; ++i) {
-    ASSERT_EQ(dev->put(key("w" + std::to_string(rng.next_below(120))),
+    ASSERT_EQ(dev->put(key(test::numbered("w", rng.next_below(120))),
                        key(std::string(rng.next_range(200, 900), 'w'))),
               Status::kOk)
         << i;

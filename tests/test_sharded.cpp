@@ -12,6 +12,7 @@
 
 #include "shard/sharded_kvssd.hpp"
 #include "workload/keygen.hpp"
+#include "test_keys.hpp"
 
 namespace rhik::shard {
 namespace {
@@ -34,20 +35,20 @@ TEST(Sharded, SyncRoundTripAcrossShards) {
   ShardedKvssd arr(make_config(4));
   constexpr int kKeys = 200;
   for (int i = 0; i < kKeys; ++i) {
-    const std::string k = "key-" + std::to_string(i);
-    ASSERT_EQ(arr.put(key(k), key("value-" + std::to_string(i))), Status::kOk);
+    const std::string k = test::numbered("key-", i);
+    ASSERT_EQ(arr.put(key(k), key(test::numbered("value-", i))), Status::kOk);
   }
   for (int i = 0; i < kKeys; ++i) {
-    const std::string k = "key-" + std::to_string(i);
+    const std::string k = test::numbered("key-", i);
     Bytes v;
     ASSERT_EQ(arr.get(key(k), &v), Status::kOk) << k;
-    EXPECT_EQ(rhik::to_string(v), "value-" + std::to_string(i));
+    EXPECT_EQ(rhik::to_string(v), test::numbered("value-", i));
     EXPECT_EQ(arr.exist(key(k)), Status::kOk);
   }
   EXPECT_EQ(arr.key_count(), static_cast<std::uint64_t>(kKeys));
 
   for (int i = 0; i < kKeys; i += 2) {
-    ASSERT_EQ(arr.del(key("key-" + std::to_string(i))), Status::kOk);
+    ASSERT_EQ(arr.del(key(test::numbered("key-", i))), Status::kOk);
   }
   EXPECT_EQ(arr.key_count(), static_cast<std::uint64_t>(kKeys / 2));
   Bytes v;

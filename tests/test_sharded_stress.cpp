@@ -94,6 +94,63 @@ TEST(ShardedStress, ConcurrentSubmittersAndDrainBarriers) {
   EXPECT_EQ(arr.key_count(), present);
 }
 
+TEST(ShardedStress, DrainCountsEveryCommandExactlyOnce) {
+  ShardedConfig sc;
+  sc.device.geometry = flash::Geometry::tiny(128);
+  sc.num_shards = 4;
+  sc.ring_capacity = 64;
+  ShardedKvssd arr(sc);
+  std::atomic<std::uint64_t> acks{0};
+  arr.set_completion_sink([&](std::vector<api::TaggedCompletion>&& done) {
+    acks.fetch_add(done.size(), std::memory_order_relaxed);
+  });
+
+  constexpr std::uint64_t kOpsPerThread = 2000;
+  const auto submit_from_two_threads = [&](std::uint64_t base) {
+    std::vector<std::thread> submitters;
+    for (std::uint64_t t = 0; t < 2; ++t) {
+      submitters.emplace_back([&arr, base, t] {
+        for (std::uint64_t i = 0; i < kOpsPerThread; ++i) {
+          const std::uint64_t id = base + t * kOpsPerThread + i;
+          if (i % 2 == 0) {
+            arr.submit_put_tagged(id, workload::key_for_id(id, 16), Bytes(32, 7));
+          } else {
+            arr.submit_get_tagged(id, workload::key_for_id(id - 1, 16));
+          }
+        }
+      });
+    }
+    return submitters;
+  };
+
+  // Commands that completed before the barrier started still count.
+  for (auto& t : submit_from_two_threads(0)) t.join();
+  while (acks.load(std::memory_order_relaxed) < 2 * kOpsPerThread) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(arr.drain(), 2 * kOpsPerThread);
+  EXPECT_EQ(arr.drain(), 0u);  // nothing completed since the last drain()
+
+  // Two submitters race a thread that drains the whole time; the drains'
+  // returns add up to every submitted command, none counted twice.
+  std::atomic<bool> submitting{true};
+  std::uint64_t drained = 0;
+  std::thread drainer([&] {
+    while (submitting.load(std::memory_order_acquire)) drained += arr.drain();
+  });
+  for (auto& t : submit_from_two_threads(2 * kOpsPerThread)) t.join();
+  submitting.store(false, std::memory_order_release);
+  drainer.join();
+  drained += arr.drain();
+  EXPECT_EQ(drained, 2 * kOpsPerThread);
+  EXPECT_EQ(acks.load(), 4 * kOpsPerThread);
+
+  // Sync verbs run as worker closures, not queued commands: not counted.
+  ASSERT_EQ(arr.put(workload::key_for_id(0, 16), Bytes(8, 1)), Status::kOk);
+  arr.submit_del_tagged(1, workload::key_for_id(0, 16));
+  EXPECT_EQ(arr.drain(), 1u);
+}
+
 // TSan-targeted MVCC stress: snapshot scans racing mutation churn across
 // the array. Scanners open a pinned iterator (explicit snapshot on one
 // thread, iterator-internal pin on the other) while churn threads

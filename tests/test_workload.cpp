@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <set>
+#include <string>
+#include <unordered_set>
 
 #include "workload/ibm_cos.hpp"
 #include "workload/keygen.hpp"
@@ -106,8 +108,10 @@ TEST(KeyGen, DeterministicAndSized) {
 }
 
 TEST(KeyGen, DistinctAcrossWideIdRange) {
-  std::set<Bytes> keys;
-  for (std::uint64_t id = 0; id < 10000; ++id) keys.insert(key_for_id(id, 16));
+  std::unordered_set<std::string> keys;
+  for (std::uint64_t id = 0; id < 10000; ++id) {
+    keys.insert(rhik::to_string(key_for_id(id, 16)));
+  }
   EXPECT_EQ(keys.size(), 10000u);
 }
 
