@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 
 #include "cache/lru_cache.hpp"
 #include "common/bytes.hpp"
@@ -18,6 +19,7 @@
 #include "common/status.hpp"
 #include "flash/address.hpp"
 #include "ftl/gc.hpp"
+#include "hash/hopscotch.hpp"
 #include "hash/murmur.hpp"
 #include "obs/metrics.hpp"
 
@@ -108,6 +110,30 @@ void scan_table(const Table& table, const ScanFn& fn,
   });
 }
 
+/// Sort key of the bulk install order: the bit-reversed signature. RHIK
+/// buckets are the signature's low bits, so ascending keys group every
+/// bucket's records into one contiguous run at ANY directory size, and
+/// order the records of a run by signature (compared from the low bit
+/// up). Restart installs records in this order, so no hash-map iteration
+/// decides hopscotch placement or the device clock.
+[[nodiscard]] constexpr std::uint64_t bulk_order_key(std::uint64_t sig) noexcept {
+  sig = ((sig >> 1) & 0x5555555555555555ULL) | ((sig & 0x5555555555555555ULL) << 1);
+  sig = ((sig >> 2) & 0x3333333333333333ULL) | ((sig & 0x3333333333333333ULL) << 2);
+  sig = ((sig >> 4) & 0x0F0F0F0F0F0F0F0FULL) | ((sig & 0x0F0F0F0F0F0F0F0FULL) << 4);
+  return __builtin_bswap64(sig);
+}
+
+/// True if `records` is strictly ascending in bulk_order_key — sorted,
+/// with unique signatures — as IIndex::bulk_load requires.
+[[nodiscard]] inline bool bulk_ordered(std::span<const hash::Record> records) noexcept {
+  for (std::size_t i = 1; i < records.size(); ++i) {
+    if (bulk_order_key(records[i - 1].sig) >= bulk_order_key(records[i].sig)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 class IIndex : public ftl::GcIndexHooks {
  public:
   ~IIndex() override = default;
@@ -128,6 +154,13 @@ class IIndex : public ftl::GcIndexHooks {
 
   /// Removes the mapping. kNotFound if absent.
   virtual Status erase(std::uint64_t sig) = 0;
+
+  /// Installs `records` into an EMPTY index — the full-scan restart's
+  /// rebuild. `records` holds unique signatures sorted by bulk_order_key
+  /// (kInvalidArgument otherwise). Each non-empty record page is built in
+  /// DRAM and programmed exactly once, bypassing the page cache, so the
+  /// install costs the same flash traffic at any cache size.
+  virtual Status bulk_load(std::span<const hash::Record> records) = 0;
 
   /// Probabilistic membership check by signature only (§IV-A3).
   virtual bool exists(std::uint64_t sig) { return get(sig).has_value(); }

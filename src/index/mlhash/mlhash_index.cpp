@@ -1,6 +1,8 @@
 #include "index/mlhash/mlhash_index.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "common/rng.hpp"
 #include "hash/murmur.hpp"
@@ -202,6 +204,42 @@ Status MlHashIndex::put(std::uint64_t sig, Ppa ppa) {
   stats_.collision_aborts++;
   stats_.reads_per_lookup.record(reads);
   return Status::kIndexFull;
+}
+
+Status MlHashIndex::bulk_load(std::span<const hash::Record> records) {
+  if (num_keys_ != 0 || !page_owner_.empty()) return Status::kBusy;
+  if (!bulk_ordered(records)) return Status::kInvalidArgument;
+
+  // Indices into `records` still unplaced, ascending (= input order).
+  std::vector<std::size_t> pending(records.size());
+  std::iota(pending.begin(), pending.end(), std::size_t{0});
+  std::vector<std::size_t> rejected;
+  std::vector<std::pair<std::uint64_t, std::size_t>> by_page;
+  hash::HopscotchTable table = codec_.make_table();
+  for (std::uint32_t l = 0; l < cfg_.levels && !pending.empty(); ++l) {
+    by_page.clear();
+    for (const std::size_t i : pending) by_page.emplace_back(page_for(l, records[i].sig), i);
+    std::sort(by_page.begin(), by_page.end());
+    rejected.clear();
+    for (std::size_t begin = 0, end = 0; begin < by_page.size(); begin = end) {
+      const std::uint64_t page = by_page[begin].first;
+      table.clear();
+      for (; end < by_page.size() && by_page[end].first == page; ++end) {
+        const hash::Record& r = records[by_page[end].second];
+        if (!ok(table.insert(r.sig, r.ppa))) rejected.push_back(by_page[end].second);
+      }
+      if (Status s = write_table(l, page, table, /*for_gc=*/false); !ok(s)) return s;
+    }
+    std::sort(rejected.begin(), rejected.end());
+    pending.swap(rejected);
+  }
+  num_keys_ = records.size() - pending.size();
+  if (!pending.empty()) {
+    // Every level's target page is full, as put() would have found.
+    stats_.collision_aborts++;
+    return Status::kIndexFull;
+  }
+  return Status::kOk;
 }
 
 Status MlHashIndex::erase(std::uint64_t sig) {

@@ -47,6 +47,11 @@ class MlHashIndex final : public IIndex {
   std::optional<flash::Ppa> get(std::uint64_t sig) override;
   Result<std::optional<flash::Ppa>> lookup(std::uint64_t sig) override;
   Status erase(std::uint64_t sig) override;
+  /// Builds level by level: each page gets, in input order, exactly the
+  /// records put() replay would offer it — the input for level 0, each
+  /// level's rejects for the next — so the tables match a sorted put()
+  /// replay while every page is programmed once.
+  Status bulk_load(std::span<const hash::Record> records) override;
   [[nodiscard]] std::uint64_t size() const override { return num_keys_; }
   [[nodiscard]] std::uint64_t capacity() const override { return capacity_; }
   [[nodiscard]] std::uint64_t dram_bytes() const override;

@@ -307,6 +307,78 @@ Status RhikIndex::erase(std::uint64_t sig) {
   return had ? Status::kOk : Status::kNotFound;
 }
 
+Status RhikIndex::bulk_load(std::span<const hash::Record> records) {
+  if (num_keys_ != 0 || mig_ || !page_owner_.empty()) return Status::kBusy;
+  if (!bulk_ordered(records)) return Status::kInvalidArgument;
+
+  // The directory is sized before the install, never grown during it:
+  // sorted records reach put() one whole bucket at a time, so a bucket
+  // overfills long before the global threshold would double it.
+  const std::uint32_t cap = std::min(cfg_.max_dir_bits, 38u);
+  const auto threshold_keys = [&](std::uint32_t bits) {
+    return cfg_.resize_threshold *
+           static_cast<double>((std::uint64_t{1} << bits) * codec_.records_per_page());
+  };
+  std::uint32_t bits = dir_bits_;
+  while (bits < cap && static_cast<double>(records.size()) > threshold_keys(bits)) ++bits;
+
+  // Each bucket's records are one contiguous run of the sorted input.
+  // The dry run (program=false) only places records, so a rejection can
+  // still grow the directory before any page is written.
+  hash::HopscotchTable primary = codec_.make_table();
+  hash::HopscotchTable overflow = codec_.make_table();
+  const auto place = [&](std::uint32_t dbits, bool program) -> Status {
+    const std::uint64_t mask = (std::uint64_t{1} << dbits) - 1;
+    for (std::size_t begin = 0, end = 0; begin < records.size(); begin = end) {
+      const std::uint64_t bucket = records[begin].sig & mask;
+      primary.clear();
+      if (overflow.size() != 0) overflow.clear();
+      for (; end < records.size() && (records[end].sig & mask) == bucket; ++end) {
+        const hash::Record& r = records[end];
+        if (ok(primary.insert(r.sig, r.ppa))) continue;
+        // Hyper-local scaling (§VI): the bucket's private overflow page
+        // takes what its primary rejects.
+        if (!cfg_.local_overflow || !ok(overflow.insert(r.sig, r.ppa))) {
+          return Status::kCollisionAbort;
+        }
+      }
+      if (!program) continue;
+      if (Status s = write_table(gen_, bucket, primary, /*for_gc=*/false); !ok(s)) {
+        return s;
+      }
+      if (overflow.size() != 0) {
+        stats_.overflow_inserts += overflow.size();
+        if (Status s = write_table(gen_, bucket | kOvBit, overflow, /*for_gc=*/false);
+            !ok(s)) {
+          return s;
+        }
+      }
+    }
+    return Status::kOk;
+  };
+  while (!ok(place(bits, /*program=*/false))) {
+    if (bits >= cap) {
+      stats_.index_full++;
+      return Status::kIndexFull;
+    }
+    ++bits;
+  }
+
+  if (bits != dir_bits_) {
+    dir_bits_ = bits;
+    dir_.assign(dir_size(), kInvalidPpa);
+    ov_dir_.assign(dir_size(), kInvalidPpa);
+  }
+  // A structural build like a migration: no directory checkpoint
+  // interleaves with its record pages.
+  in_maintenance_ = true;
+  const Status s = place(bits, /*program=*/true);
+  in_maintenance_ = false;
+  if (!ok(s)) return s;
+  num_keys_ = records.size();
+  return Status::kOk;
+}
+
 void RhikIndex::open_migration_window() {
   Migration m;
   m.old_bits = dir_bits_;

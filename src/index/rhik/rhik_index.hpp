@@ -49,6 +49,13 @@ class RhikIndex final : public IIndex {
   std::optional<flash::Ppa> get(std::uint64_t sig) override;
   Result<std::optional<flash::Ppa>> lookup(std::uint64_t sig) override;
   Status erase(std::uint64_t sig) override;
+  /// Sizes the directory once (Eq. 2 at the resize threshold, or the
+  /// configured anticipated_keys if larger), then builds every bucket's
+  /// table in DRAM and programs it once. A bucket whose table rejects a
+  /// record spills it to the bucket's overflow page (local_overflow) or
+  /// grows the directory by one bit before anything is programmed;
+  /// kIndexFull only past max_dir_bits.
+  Status bulk_load(std::span<const hash::Record> records) override;
   [[nodiscard]] std::uint64_t size() const override { return num_keys_; }
   [[nodiscard]] std::uint64_t capacity() const override {
     return dir_size() * codec_.records_per_page();

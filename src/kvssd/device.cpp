@@ -272,28 +272,37 @@ Status KvssdDevice::restore_from_checkpoint(const CheckpointManager::Found& foun
   // reference a data extent that was still in the store's RAM buffer at
   // the cut. Such an extent is detectable: its pages sit at-or-past the
   // block's adopted write point, or the head page doesn't parse to a pair
-  // of this key.
+  // of this key. Many records point into one head page, so each page is
+  // read and parsed once: `head_pairs` memoizes its first pair per
+  // signature with that pair's verdict (empty for an unusable page).
+  std::unordered_map<flash::Ppa, std::vector<std::pair<std::uint64_t, bool>>> head_pairs;
   const auto extent_durable = [&](std::uint64_t sig, flash::Ppa ppa) -> bool {
     const std::uint32_t block = flash::ppa_block(g, ppa);
     const std::uint32_t pg = flash::ppa_page(g, ppa);
     if (block >= valid_pages.size() || pg >= valid_pages[block]) return false;
-    ByteSpan page;
-    ByteSpan spare;
-    if (!ok(nand_->read_page_view(ppa, &page, &spare))) return false;
-    if (!flash::page_crc_ok(g, page, spare) ||
-        ftl::SpareTag::decode(spare).kind != ftl::PageKind::kDataHead) {
-      return false;
+    auto [it, fresh] = head_pairs.try_emplace(ppa);
+    if (fresh) {
+      ByteSpan page;
+      ByteSpan spare;
+      std::optional<std::vector<ftl::ParsedPair>> pairs;
+      if (ok(nand_->read_page_view(ppa, &page, &spare)) &&
+          flash::page_crc_ok(g, page, spare) &&
+          ftl::SpareTag::decode(spare).kind == ftl::PageKind::kDataHead) {
+        pairs = ftl::parse_head_page(page, g.page_size);
+      }
+      if (pairs) {
+        for (const auto& p : *pairs) {
+          // The continuation chain programs right behind the head; it is
+          // durable iff it fits under the adopted write point.
+          const bool durable =
+              !p.spills ||
+              pg + ftl::continuation_pages(g, p.header.pair_bytes()) < valid_pages[block];
+          it->second.emplace_back(p.header.sig, durable);
+        }
+      }
     }
-    const auto pairs = ftl::parse_head_page(page, g.page_size);
-    if (!pairs) return false;
-    for (const auto& p : *pairs) {
-      if (p.header.sig != sig) continue;
-      if (!p.spills) return true;
-      // The continuation chain programs right behind the head; it is
-      // durable iff it fits under the adopted write point.
-      const std::uint32_t need =
-          ftl::continuation_pages(g, p.header.pair_bytes());
-      return pg + need < valid_pages[block];
+    for (const auto& [head_sig, durable] : it->second) {
+      if (head_sig == sig) return durable;
     }
     return false;
   };
@@ -398,8 +407,15 @@ Status KvssdDevice::restore_from_checkpoint(const CheckpointManager::Found& foun
   // The put/del overlay replays through the non-structural appliers: a
   // replay-triggered resize or bucket migration would be unjournaled and
   // desynchronize this restore from the crashed index, so a record that
-  // cannot be placed without structural work aborts to the full scan.
-  for (const auto& [sig, r] : resolved) {
+  // cannot be placed without structural work aborts to the full scan. It
+  // replays in bulk install order — bucket by bucket, like the full
+  // scan — so no hash-map iteration decides placement or the clock.
+  std::vector<std::pair<std::uint64_t, Resolved>> overlay(resolved.begin(),
+                                                          resolved.end());
+  std::sort(overlay.begin(), overlay.end(), [](const auto& a, const auto& b) {
+    return index::bulk_order_key(a.first) < index::bulk_order_key(b.first);
+  });
+  for (const auto& [sig, r] : overlay) {
     switch (r.from) {
       case Resolved::From::kImage:
         break;  // keep the checkpoint image's mapping (or absence)

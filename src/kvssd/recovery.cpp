@@ -1,7 +1,8 @@
 #include "kvssd/recovery.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <cstdint>
+#include <vector>
 
 #include "ftl/layout.hpp"
 
@@ -22,6 +23,36 @@ bool tag_sane(const ftl::SpareTag& tag) noexcept {
                          tag.stream == ftl::Stream::kIndex ||
                          tag.stream == ftl::Stream::kCold;
   return kind_ok && stream_ok;
+}
+
+/// One pair met by the full scan (40 B: the whole log of a 100 k-key
+/// shard sorts in a few MiB).
+struct Seen {
+  std::uint64_t order;  ///< index::bulk_order_key(sig)
+  std::uint64_t epoch;
+  std::uint64_t seq;    ///< head page's sequence number
+  std::uint64_t ppa : 40;
+  std::uint64_t offset : 23;  ///< header offset in the head page
+  std::uint64_t tombstone : 1;
+  std::uint32_t pair_bytes;
+  std::uint32_t head_bytes;  ///< portion resident in the head page
+};
+static_assert(sizeof(Seen) == 40);
+
+/// Bulk install order, then the newest version of a signature first.
+/// Ordering is epoch-major, (seq, offset)-minor: GC relocates
+/// snapshot-retained OLD versions into fresh pages (preserving their
+/// original epoch stamps), so a higher page seq alone does not imply a
+/// newer version. Epochs strictly increase across a key's mutations; ops
+/// of one batch share a stamp and are ordered by (seq, offset) (pre-MVCC
+/// pages all decode epoch 0 and keep the pure-seq behavior). An exact
+/// tie keeps the copy met first in scan order.
+bool newest_first(const Seen& a, const Seen& b) noexcept {
+  if (a.order != b.order) return a.order < b.order;
+  if (a.epoch != b.epoch) return a.epoch > b.epoch;
+  if (a.seq != b.seq) return a.seq > b.seq;
+  if (a.offset != b.offset) return a.offset > b.offset;
+  return a.ppa < b.ppa;
 }
 
 }  // namespace
@@ -54,27 +85,15 @@ Result<RecoveryStats> recover_from_flash(flash::NandDevice& nand,
                                          index::IIndex& index) {
   const auto& g = nand.geometry();
   RecoveryStats stats;
+  // Seen's narrow fields: an offset within a page, a durable pair within
+  // a block (its whole extent was found programmed in one).
+  if (g.page_size > (1u << 23) || g.block_bytes() > UINT32_MAX) {
+    return Status::kInvalidArgument;
+  }
 
-  // Newest version of each signature seen so far in the log. Ordering is
-  // epoch-major, (seq, offset)-minor: GC relocates snapshot-retained OLD
-  // versions into fresh pages (preserving their original epoch stamps),
-  // so a higher page seq alone no longer implies a newer version. Epochs
-  // strictly increase across a key's mutations; ops of one batch share a
-  // stamp and are ordered by (seq, offset) as before (pre-MVCC pages all
-  // decode epoch 0 and keep the legacy pure-seq behavior).
-  struct Winner {
-    std::uint64_t epoch = 0;
-    std::uint64_t seq = 0;
-    std::size_t offset = 0;
-    Ppa ppa = flash::kInvalidPpa;
-    std::uint64_t pair_bytes = 0;
-    std::uint64_t head_bytes = 0;  ///< portion resident in the head page
-    bool tombstone = false;
-  };
-  // Grown on demand, never reserve()d: the index is rebuilt in this map's
-  // iteration order, which decides hopscotch placement and cache
-  // write-backs, so the device clock after a restart depends on it.
-  std::unordered_map<std::uint64_t, Winner> winners;
+  // Every pair the scan meets, appended in scan order and sorted once
+  // below, so the install order is a function of the log alone.
+  std::vector<Seen> seen;
 
   // Pages are read as views of the NAND's own image (same charge as a
   // copying read). A view dies with its block's erase, and the sweep
@@ -112,18 +131,19 @@ Result<RecoveryStats> recover_from_flash(flash::NandDevice& nand,
     stats.wear_blocks_restored++;
 
     if (!ftl::is_data_stream(first.stream)) {
-      // Index zone: contents are all stale (the index is rebuilt), but
-      // only the leading run of intact pages is adopted so GC never
-      // tries to decode a torn tail.
-      std::uint32_t valid = 1;
-      while (valid < programmed) {
-        if (Status s =
-                nand.read_page_view(flash::make_ppa(g, block, valid), &page, &spare);
+      // Index zone: contents are all stale (the index is rebuilt) and no
+      // winner points here, so the sweep below erases the block. Only
+      // its torn tail is counted: pages program in order, so it is found
+      // from the top down, in one read when the last program completed.
+      std::uint32_t valid = programmed;
+      while (valid > 1) {
+        if (Status s = nand.read_page_view(flash::make_ppa(g, block, valid - 1), &page,
+                                           &spare);
             !ok(s)) {
           return s;
         }
-        if (!flash::page_crc_ok(g, page, spare)) break;
-        ++valid;
+        if (flash::page_crc_ok(g, page, spare)) break;
+        --valid;
       }
       stats.torn_pages_dropped += programmed - valid;
       if (Status s = alloc.adopt_block(block, first.stream, valid); !ok(s)) return s;
@@ -131,17 +151,19 @@ Result<RecoveryStats> recover_from_flash(flash::NandDevice& nand,
     }
 
     // Data block (hot or cold stream — identical layout): walk pages in
-    // programming order and truncate the
-    // block's log at the first page that is torn (CRC), mis-tagged
-    // (orphan continuation, foreign kind) or structurally inconsistent.
-    // Everything after such a page postdates the power cut's victim and
-    // was never acknowledged.
+    // programming order and truncate the block's log at the first page
+    // that is torn (CRC), mis-tagged (orphan continuation, foreign kind)
+    // or structurally inconsistent. Everything after such a page
+    // postdates the power cut's victim and was never acknowledged. Page
+    // 0's view from above is reused.
     std::uint32_t valid = 0;
     std::uint32_t pg = 0;
     while (pg < programmed) {
       const Ppa ppa = flash::make_ppa(g, block, pg);
-      if (Status s = nand.read_page_view(ppa, &page, &spare); !ok(s)) return s;
-      if (!flash::page_crc_ok(g, page, spare)) break;
+      if (pg != 0) {
+        if (Status s = nand.read_page_view(ppa, &page, &spare); !ok(s)) return s;
+        if (!flash::page_crc_ok(g, page, spare)) break;
+      }
       const ftl::SpareTag tag = ftl::SpareTag::decode(spare);
       if (tag.kind != ftl::PageKind::kDataHead) break;
       const auto pairs = ftl::parse_head_page(page, g.page_size);
@@ -178,20 +200,11 @@ Result<RecoveryStats> recover_from_flash(flash::NandDevice& nand,
       for (const auto& p : *pairs) {
         stats.pairs_seen++;
         if (p.header.tombstone) stats.tombstones_seen++;
-        const std::uint64_t e = p.header.epoch;
-        if (e > stats.max_epoch) stats.max_epoch = e;
-        Winner& w = winners[p.header.sig];
-        if (w.ppa == flash::kInvalidPpa || e > w.epoch ||
-            (e == w.epoch &&
-             (seq > w.seq || (seq == w.seq && p.offset > w.offset)))) {
-          w = Winner{e,
-                     seq,
-                     p.offset,
-                     ppa,
-                     p.header.pair_bytes(),
-                     p.in_page_bytes,
-                     p.header.tombstone};
-        }
+        if (p.header.epoch > stats.max_epoch) stats.max_epoch = p.header.epoch;
+        seen.push_back(Seen{index::bulk_order_key(p.header.sig), p.header.epoch, seq,
+                            ppa, p.offset, p.header.tombstone,
+                            static_cast<std::uint32_t>(p.header.pair_bytes()),
+                            static_cast<std::uint32_t>(p.in_page_bytes)});
       }
       pg += span;
       valid = pg;
@@ -200,12 +213,19 @@ Result<RecoveryStats> recover_from_flash(flash::NandDevice& nand,
     if (Status s = alloc.adopt_block(block, first.stream, valid); !ok(s)) return s;
   }
 
+  // One sort puts each signature's versions together, newest first; the
+  // first of every run is the winner.
+  std::sort(seen.begin(), seen.end(), newest_first);
+  seen.erase(std::unique(seen.begin(), seen.end(),
+                         [](const Seen& a, const Seen& b) { return a.order == b.order; }),
+             seen.end());
+
   // Credit liveness first: live pairs and tombstones pin their pages so
   // GC preserves them. Liveness is credited page by page along the
   // extent, so a block holding only continuation pages of a live value
   // is never left at zero live bytes (which would make pick_victim erase
   // it out from under the extent).
-  for (const auto& [sig, w] : winners) {
+  for (const Seen& w : seen) {
     std::uint64_t remaining = w.pair_bytes;
     std::uint64_t chunk = std::min<std::uint64_t>(w.head_bytes, remaining);
     Ppa p = w.ppa;
@@ -222,8 +242,7 @@ Result<RecoveryStats> recover_from_flash(flash::NandDevice& nand,
   // log below), and repeated crash cycles also accumulate sealed data
   // blocks whose every pair lost — torn tails, superseded versions. A
   // device that crashed often enough would otherwise run out of free
-  // blocks for the rebuilt index's own record pages, and the index would
-  // silently shed entries on failed write-backs. Erasing here is
+  // blocks for the rebuilt index's own record pages. Erasing here is
   // idempotent across a crash-during-recovery: the data log is untouched
   // and wear counts were already restored above.
   for (const std::uint32_t block : adopted) {
@@ -232,14 +251,18 @@ Result<RecoveryStats> recover_from_flash(flash::NandDevice& nand,
     stats.dead_blocks_reclaimed++;
   }
 
-  // Install the winners: live pairs enter the index (tombstones stay
-  // out — their pinned deletion record on flash is their only trace).
-  for (const auto& [sig, w] : winners) {
+  // Install the winners in one bulk pass: live pairs enter the index
+  // (tombstones stay out — their pinned deletion record on flash is
+  // their only trace). bulk_order_key is its own inverse.
+  std::vector<hash::Record> live;
+  live.reserve(seen.size());
+  for (const Seen& w : seen) {
     if (w.tombstone) continue;
-    if (Status s = index.put(sig, w.ppa); !ok(s)) return s;
+    live.push_back(hash::Record{index::bulk_order_key(w.order), w.ppa});
     stats.keys_recovered++;
     stats.live_bytes += w.pair_bytes;
   }
+  if (Status s = index.bulk_load(live); !ok(s)) return s;
 
   store.set_next_seq(stats.max_seq + 1);
   return stats;

@@ -13,14 +13,18 @@
 //     GC may relocate snapshot-retained OLD versions into new pages with
 //     their original MVCC stamps — so the newest version of every
 //     signature wins, and a newest-version tombstone (durable deletion
-//     record) means the key is absent.
+//     record) means the key is absent. Every pair seen goes into a flat
+//     vector that is sorted once in bulk install order
+//     (index::bulk_order_key), and the live winners are installed with
+//     one IIndex::bulk_load: each record page is built in DRAM and
+//     programmed once, whatever the cache size, and no hash-map
+//     iteration decides placement or the device clock.
 //  3. Old index-zone pages are deliberately ignored: they carry no live
-//     accounting after recovery, so GC reclaims them wholesale. The
-//     directory-checkpoint fast path (RhikIndex::load_directory) remains
-//     available for clean shutdowns. This also makes recovery immune to
-//     an interrupted RHIK resize: old- and new-generation index pages
-//     alike are dead weight, and the rebuilt index starts one clean
-//     generation.
+//     accounting after recovery, so the dead-weight sweep erases them
+//     (only each block's top page is read, to count a torn tail). This
+//     also makes recovery immune to an interrupted RHIK resize: old- and
+//     new-generation index pages alike are dead weight, and the rebuilt
+//     index starts one clean generation.
 //
 // The scan assumes the crash may have happened mid-operation:
 //

@@ -870,54 +870,66 @@ TEST(ShardedRecovery, ConcurrentRestartMatchesSerialGolden) {
   // dead_blocks_reclaimed, pages_read, checkpoint_restored,
   // full_scan_fallback, journal_pages_replayed, journal_records_replayed,
   // checkpoint_version.
+  //
+  // Every row was re-recorded once when restarts stopped depending on
+  // hash-map order. The full scan now sorts its winners and bulk-installs
+  // the index, programming each record page once. It also reads index
+  // blocks top-down and page 0 once. Full-scan programs (all shards, 1/2/4
+  // shards) fell from 144/126/125 to 16/32/64, pages read from
+  // 973/976/961 to 400/406/406. The checkpoint path parses each journaled
+  // head page once and replays its overlay in bucket order: programs fell
+  // from 112/155/143 to 8/16/32, pages read from 901/956/1026 to
+  // 384/434/529. The fallback's full scan (a checkpoint is written after
+  // it) fell from 156/150/173 programs to 19/38/76; the restore after it
+  // adopts fewer index blocks and reads 55/88/143 pages, not 80/108/159.
   constexpr Status kOk = Status::kOk;
   constexpr Status kNoCkpt = Status::kNotFound;
   constexpr Status kCkptOff = Status::kUnsupported;
   const std::vector<Case> cases = {
       {1, RestartPath::kFullScan,
-       {{kOk, {3342000},
-         {52, 286, 970, 72, 288, 336019, 286, 971, 0, 0, 52, 41, 973, 0, 1, 0, 0, 0},
+       {{kOk, {1684000},
+         {52, 286, 970, 72, 288, 336019, 286, 971, 0, 0, 52, 41, 400, 0, 1, 0, 0, 0},
          kCkptOff}}},
       {2, RestartPath::kFullScan,
-       {{kOk, {1708000, 1708000},
-         {54, 288, 970, 72, 288, 336019, 148, 971, 0, 0, 54, 43, 976, 0, 2, 0, 0, 0},
+       {{kOk, {908000, 908000},
+         {54, 288, 970, 72, 288, 336019, 148, 971, 0, 0, 54, 43, 406, 0, 2, 0, 0, 0},
          kCkptOff}}},
       {4, RestartPath::kFullScan,
-       {{kOk, {860000, 860000, 860000, 860000},
-         {57, 286, 970, 72, 288, 336019, 84, 971, 0, 0, 57, 43, 961, 0, 4, 0, 0, 0},
+       {{kOk, {522000, 522000, 522000, 522000},
+         {57, 286, 970, 72, 288, 336019, 84, 971, 0, 0, 57, 43, 406, 0, 4, 0, 0, 0},
          kCkptOff}}},
       {1, RestartPath::kCheckpoint,
-       {{kOk, {2268000},
-         {53, 0, 0, 0, 288, 426051, 1313, 971, 0, 0, 53, 0, 901, 1, 0, 4, 974, 1},
+       {{kOk, {818000},
+         {53, 0, 0, 0, 288, 426051, 1313, 971, 0, 0, 53, 0, 384, 1, 0, 4, 974, 1},
          kOk}}},
       {2, RestartPath::kCheckpoint,
-       {{kOk, {1278000, 1278000},
-         {55, 0, 0, 0, 288, 426051, 1173, 971, 0, 0, 55, 0, 956, 2, 0, 4, 978, 1},
+       {{kOk, {482000, 482000},
+         {55, 0, 0, 0, 288, 426051, 1173, 971, 0, 0, 55, 0, 434, 2, 0, 4, 978, 1},
          kOk}}},
       {4, RestartPath::kCheckpoint,
-       {{kOk, {690000, 690000, 690000, 690000},
-         {58, 0, 0, 0, 288, 426051, 1110, 971, 0, 0, 58, 0, 1026, 4, 0, 4, 994, 1},
+       {{kOk, {326000, 326000, 326000, 326000},
+         {58, 0, 0, 0, 288, 426051, 1110, 971, 0, 0, 58, 0, 529, 4, 0, 4, 994, 1},
          kOk}}},
       {1, RestartPath::kFallbackThenCheckpoint,
-       {{kOk, {3438000},
-         {52, 290, 970, 72, 288, 336019, 290, 971, 0, 0, 52, 42, 977, 0, 1, 0, 0, 0},
+       {{kOk, {1744000},
+         {52, 290, 970, 72, 288, 336019, 290, 971, 0, 0, 52, 42, 404, 0, 1, 0, 0, 0},
          kNoCkpt},
-        {kOk, {168000},
-         {20, 0, 0, 0, 288, 336019, 1315, 971, 0, 0, 20, 0, 80, 1, 0, 0, 0, 1},
+        {kOk, {116000},
+         {12, 0, 0, 0, 288, 336019, 1315, 971, 0, 0, 12, 0, 55, 1, 0, 0, 0, 1},
          kOk}}},
       {2, RestartPath::kFallbackThenCheckpoint,
-       {{kOk, {1778000, 1778000},
-         {55, 290, 970, 72, 288, 336019, 149, 971, 0, 0, 55, 43, 979, 0, 2, 0, 0, 0},
+       {{kOk, {942000, 942000},
+         {55, 290, 970, 72, 288, 336019, 149, 971, 0, 0, 55, 43, 408, 0, 2, 0, 0, 0},
          kNoCkpt},
-        {kOk, {116000, 116000},
-         {22, 0, 0, 0, 288, 336019, 1174, 971, 0, 0, 22, 0, 108, 2, 0, 0, 0, 1},
+        {kOk, {94000, 94000},
+         {16, 0, 0, 0, 288, 336019, 1174, 971, 0, 0, 16, 0, 88, 2, 0, 0, 0, 1},
          kOk}}},
       {4, RestartPath::kFallbackThenCheckpoint,
-       {{kOk, {928000, 928000, 928000, 928000},
-         {57, 287, 970, 72, 288, 336019, 84, 971, 0, 0, 57, 43, 962, 0, 4, 0, 0, 0},
+       {{kOk, {554000, 554000, 554000, 554000},
+         {57, 287, 970, 72, 288, 336019, 84, 971, 0, 0, 57, 43, 407, 0, 4, 0, 0, 0},
          kNoCkpt},
-        {kOk, {90000, 90000, 90000, 90000},
-         {26, 0, 0, 0, 288, 336019, 1109, 971, 0, 0, 26, 0, 159, 4, 0, 0, 0, 1},
+        {kOk, {80000, 80000, 80000, 80000},
+         {22, 0, 0, 0, 288, 336019, 1109, 971, 0, 0, 22, 0, 143, 4, 0, 0, 0, 1},
          kOk}}},
   };
   for (const Case& c : cases) {
