@@ -206,7 +206,6 @@ Status GarbageCollector::relocate_pages(std::uint32_t block, std::uint32_t* page
       case PageKind::kDataCont:
         break;  // moved with its head page
       case PageKind::kIndexRecord:
-      case PageKind::kIndexDir:
         if (hooks_->gc_is_live_index_page(ppa)) {
           if (Status s = hooks_->gc_relocate_index_page(ppa); !ok(s)) {
             *page = pg;
@@ -217,6 +216,7 @@ Status GarbageCollector::relocate_pages(std::uint32_t block, std::uint32_t* page
         break;
       case PageKind::kFree:
         break;
+      case PageKind::kIndexDir:
       case PageKind::kCkptSuper:
       case PageKind::kCkptJournal:
         break;  // live only in the reserved tail, never in a victim

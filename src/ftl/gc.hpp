@@ -7,9 +7,9 @@
 // global index: a pair is live iff the index still maps its signature to
 // this extent's starting PPA. Live pairs are relocated through the normal
 // log write path (onto the cold stream when hot/cold separation is on)
-// and the index is updated. Index-zone blocks (record pages made stale by
-// a resize, old directory checkpoints) are validated and relocated
-// through the owning index's hooks.
+// and the index is updated. Index-zone blocks (record pages superseded by
+// write-backs or a resize) are validated and relocated through the owning
+// index's hooks.
 //
 // Besides the synchronous collect()/collect_one() paths, the collector
 // can run *incrementally*: background_tick() processes one bounded work
@@ -46,7 +46,7 @@ class GcIndexHooks {
   /// Point the signature's record at the pair's new location.
   virtual Status gc_update_location(std::uint64_t sig, flash::Ppa new_ppa) = 0;
 
-  /// Liveness of an index-zone page (record table / directory checkpoint).
+  /// Liveness of an index-zone record page.
   virtual bool gc_is_live_index_page(flash::Ppa ppa) const = 0;
 
   /// Rewrite a live index-zone page elsewhere and update internal

@@ -188,7 +188,8 @@ class IIndex : public ftl::GcIndexHooks {
   /// (directories), excluding the shared page cache.
   [[nodiscard]] virtual std::uint64_t dram_bytes() const = 0;
 
-  /// Persists all dirty state (cached tables, directory checkpoint).
+  /// Persists all dirty state: writes back cached tables (and closes any
+  /// structural change serialize_image cannot describe).
   virtual Status flush() = 0;
 
   /// Full scan over every (signature, PPA) record, or — given

@@ -389,7 +389,15 @@ Status MlHashIndex::apply_journal_repoint(
     table.for_each([&](const hash::Record& r) {
       all_durable = all_durable && data_durable(static_cast<Ppa>(r.ppa));
     });
-    if (!all_durable) return Status::kOk;  // reject: keep the image's slot
+    if (!all_durable) {
+      // Reject: keep the image's slot, unless GC has since erased its
+      // stale page (and maybe reused it for another page's table).
+      const Ppa kept = dirs_[level][page];
+      if (kept != kInvalidPpa && !page_holds_slot(*nand_, kept, level, page)) {
+        return Status::kCorruption;
+      }
+      return Status::kOk;
+    }
   }
   Ppa& slot = dirs_[level][page];
   if (slot == ppa) return Status::kOk;

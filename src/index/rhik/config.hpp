@@ -59,8 +59,6 @@ struct RhikConfig {
   /// CPU cost charged per record rearranged during migration (the
   /// signature-reuse re-bucketing work of §IV-A2).
   SimTime migrate_cpu_ns_per_record = 20;
-  /// Record-page write-backs between directory checkpoints to flash.
-  std::uint32_t dir_checkpoint_interval = 1024;
 
   /// hi — hopinfo bytes per record (Eq. 1).
   [[nodiscard]] constexpr std::uint32_t hopinfo_bytes() const noexcept {

@@ -11,31 +11,33 @@
 
 #include "common/bytes.hpp"
 #include "common/status.hpp"
+#include "flash/nand.hpp"
 #include "ftl/layout.hpp"
 #include "hash/hopscotch.hpp"
 #include "index/rhik/config.hpp"
 
 namespace rhik::index {
 
-/// Spare-area metadata of an index-zone page, after the generic SpareTag.
-/// Record pages carry their owning directory bucket + index generation so
-/// GC and recovery can re-home them; directory checkpoint pages carry a
-/// checkpoint id and fragment position.
+/// Spare-area metadata of a record page, after the generic SpareTag: the
+/// owning directory slot (index generation + bucket) and the record count,
+/// so a journal replay can tell whether a page still holds a slot's table.
 struct IndexPageSpare {
   std::uint32_t generation = 0;
-  std::uint64_t bucket = 0;      ///< record pages: directory bucket
+  std::uint64_t bucket = 0;      ///< directory bucket (RHIK: with its overflow bit)
   std::uint32_t record_count = 0;
-  // directory checkpoint fields
-  std::uint32_t checkpoint_id = 0;
-  std::uint16_t fragment = 0;
-  std::uint16_t fragments_total = 0;
 
-  static constexpr std::size_t kEncodedSize =
-      ftl::SpareTag::kEncodedSize + 4 + 8 + 4 + 4 + 2 + 2;
+  static constexpr std::size_t kEncodedSize = ftl::SpareTag::kEncodedSize + 4 + 8 + 4;
 
   void encode(MutByteSpan spare) const noexcept;
   static IndexPageSpare decode(ByteSpan spare) noexcept;
 };
+
+/// True if `ppa` is a programmed record page whose spare names the
+/// directory slot (generation, bucket). Charges one spare read. A page
+/// that fails this was erased (and maybe reused by another slot) since
+/// the slot last pointed at it.
+bool page_holds_slot(flash::NandDevice& nand, flash::Ppa ppa,
+                     std::uint32_t generation, std::uint64_t bucket);
 
 class RecordPageCodec {
  public:

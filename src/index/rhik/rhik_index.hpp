@@ -2,8 +2,9 @@
 //
 // Two-level hash index:
 //   * Directory layer: 2^D physical page addresses kept in SSD DRAM
-//     (checkpointed to flash periodically). The D least-significant bits
-//     of the 64-bit key signature select the directory entry.
+//     (persisted as the device checkpoint's image, serialize_image). The
+//     D least-significant bits of the 64-bit key signature select the
+//     directory entry.
 //   * Record layer: one fixed-size hopscotch table per flash page (R
 //     records, Eq. 1), served from flash through a byte-budgeted DRAM
 //     cache. Dirty tables are written back on eviction (log-style: a new
@@ -109,18 +110,11 @@ class RhikIndex final : public IIndex {
     return cache_.stats();
   }
 
-  /// Serialized directory image (what a checkpoint page sequence holds);
-  /// `load_directory` restores a flushed index from it. Together these
-  /// give tests a clean-shutdown persistence path.
-  [[nodiscard]] Bytes serialize_directory() const;
-  Status load_directory(ByteSpan image);
-
   // -- Checkpointing hooks (IIndex) ------------------------------------------
   void set_journal(IndexJournal* journal) override { journal_ = journal; }
-  Status serialize_image(Bytes& out) override {
-    out = serialize_directory();
-    return Status::kOk;
-  }
+  /// Serializes the directory of the current generation only: callers
+  /// flush() first, which closes any migration window.
+  Status serialize_image(Bytes& out) override;
   Status load_image(ByteSpan image) override;
   Status apply_journal_repoint(
       std::uint64_t slot_key, flash::Ppa ppa,
@@ -208,7 +202,6 @@ class RhikIndex final : public IIndex {
   [[nodiscard]] bool growth_capped() const noexcept {
     return dir_bits_ + 1 > std::min(cfg_.max_dir_bits, 38u);
   }
-  Status checkpoint_directory();
 
   /// get() without op accounting, for GC and internal exist checks.
   Result<std::optional<flash::Ppa>> lookup_internal(std::uint64_t sig,
@@ -235,10 +228,6 @@ class RhikIndex final : public IIndex {
 
   /// Live index-zone record pages -> owning (gen, bucket) key.
   std::unordered_map<flash::Ppa, std::uint64_t> page_owner_;
-  /// Live directory-checkpoint pages.
-  std::vector<flash::Ppa> checkpoint_pages_;
-  std::uint32_t checkpoint_id_ = 0;
-  std::uint32_t writes_since_checkpoint_ = 0;
 
   std::uint64_t num_keys_ = 0;
   IndexOpStats stats_;

@@ -355,8 +355,8 @@ TEST(CrashRecovery, CutInsideIndexMigrationQuantumKeepsFloor) {
   // Incremental doubling drains in background quanta, so a cut routinely
   // lands between bucket migrations: the resize record journaled, some
   // buckets' migrate records durable, others not. Walk the cut across
-  // the first destructive ops of the drain (record-page write-backs,
-  // journal flushes, directory checkpoints) and require the floor intact
+  // the first destructive ops of the drain (record-page write-backs and
+  // journal flushes) and require the floor intact
   // whichever restart path the surviving state allows.
   for (const std::uint32_t arm : {1u, 2u, 3u, 4u}) {
     DeviceConfig cfg = crash_config();
@@ -882,6 +882,21 @@ TEST(ShardedRecovery, ConcurrentRestartMatchesSerialGolden) {
   // 384/434/529. The fallback's full scan (a checkpoint is written after
   // it) fell from 156/150/173 programs to 19/38/76; the restore after it
   // adopts fewer index blocks and reads 55/88/143 pages, not 80/108/159.
+  //
+  // The checkpoint and fallback rows were re-recorded once more when the
+  // index stopped programming its own directory-checkpoint page on every
+  // flush() (the device checkpoint's image is the one persisted copy).
+  // Workload programs before the restart (all shards, 1/2/4 shards):
+  // checkpoint path 831/865/883 -> 829/861/875, fallback path
+  // 825/852/853 -> 824/850/849, full-scan path 815/844/844 -> 814/842/840.
+  // The fallback's full scan, which checkpoints after it, programs
+  // 19/38/76 -> 18/36/72. With fewer index pages in the log, the
+  // checkpoint restore adopts one block less per shard on 1 and 2 shards
+  // (reads 384/434 -> 381/431, clock -6 us on 1 shard; 4 shards
+  // unchanged), and the restore after the fallback adopts 12/16/22 ->
+  // 11/14/18 blocks and reads 55/88/143 -> 52/82/131 pages (clock
+  // -6 us per shard); the fallback scans end 4 us earlier per shard. The
+  // full-scan rows, which skip index blocks, did not move.
   constexpr Status kOk = Status::kOk;
   constexpr Status kNoCkpt = Status::kNotFound;
   constexpr Status kCkptOff = Status::kUnsupported;
@@ -899,37 +914,37 @@ TEST(ShardedRecovery, ConcurrentRestartMatchesSerialGolden) {
          {57, 286, 970, 72, 288, 336019, 84, 971, 0, 0, 57, 43, 406, 0, 4, 0, 0, 0},
          kCkptOff}}},
       {1, RestartPath::kCheckpoint,
-       {{kOk, {818000},
-         {53, 0, 0, 0, 288, 426051, 1313, 971, 0, 0, 53, 0, 384, 1, 0, 4, 974, 1},
+       {{kOk, {812000},
+         {52, 0, 0, 0, 288, 426051, 1313, 971, 0, 0, 52, 0, 381, 1, 0, 4, 974, 1},
          kOk}}},
       {2, RestartPath::kCheckpoint,
        {{kOk, {482000, 482000},
-         {55, 0, 0, 0, 288, 426051, 1173, 971, 0, 0, 55, 0, 434, 2, 0, 4, 978, 1},
+         {54, 0, 0, 0, 288, 426051, 1173, 971, 0, 0, 54, 0, 431, 2, 0, 4, 978, 1},
          kOk}}},
       {4, RestartPath::kCheckpoint,
        {{kOk, {326000, 326000, 326000, 326000},
          {58, 0, 0, 0, 288, 426051, 1110, 971, 0, 0, 58, 0, 529, 4, 0, 4, 994, 1},
          kOk}}},
       {1, RestartPath::kFallbackThenCheckpoint,
-       {{kOk, {1744000},
+       {{kOk, {1740000},
          {52, 290, 970, 72, 288, 336019, 290, 971, 0, 0, 52, 42, 404, 0, 1, 0, 0, 0},
          kNoCkpt},
-        {kOk, {116000},
-         {12, 0, 0, 0, 288, 336019, 1315, 971, 0, 0, 12, 0, 55, 1, 0, 0, 0, 1},
+        {kOk, {110000},
+         {11, 0, 0, 0, 288, 336019, 1315, 971, 0, 0, 11, 0, 52, 1, 0, 0, 0, 1},
          kOk}}},
       {2, RestartPath::kFallbackThenCheckpoint,
-       {{kOk, {942000, 942000},
+       {{kOk, {938000, 938000},
          {55, 290, 970, 72, 288, 336019, 149, 971, 0, 0, 55, 43, 408, 0, 2, 0, 0, 0},
          kNoCkpt},
-        {kOk, {94000, 94000},
-         {16, 0, 0, 0, 288, 336019, 1174, 971, 0, 0, 16, 0, 88, 2, 0, 0, 0, 1},
+        {kOk, {88000, 88000},
+         {14, 0, 0, 0, 288, 336019, 1174, 971, 0, 0, 14, 0, 82, 2, 0, 0, 0, 1},
          kOk}}},
       {4, RestartPath::kFallbackThenCheckpoint,
-       {{kOk, {554000, 554000, 554000, 554000},
+       {{kOk, {550000, 550000, 550000, 550000},
          {57, 287, 970, 72, 288, 336019, 84, 971, 0, 0, 57, 43, 407, 0, 4, 0, 0, 0},
          kNoCkpt},
-        {kOk, {80000, 80000, 80000, 80000},
-         {22, 0, 0, 0, 288, 336019, 1109, 971, 0, 0, 22, 0, 143, 4, 0, 0, 0, 1},
+        {kOk, {74000, 74000, 74000, 74000},
+         {18, 0, 0, 0, 288, 336019, 1109, 971, 0, 0, 18, 0, 131, 4, 0, 0, 0, 1},
          kOk}}},
   };
   for (const Case& c : cases) {

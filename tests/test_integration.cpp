@@ -137,12 +137,12 @@ TEST(Integration, RestartFromDirectoryCheckpoint) {
     }
     ASSERT_EQ(store.flush(), Status::kOk);
     ASSERT_EQ(index.flush(), Status::kOk);
-    dir_image = index.serialize_directory();
+    ASSERT_EQ(index.serialize_image(dir_image), Status::kOk);
   }
 
   // "Restart": new index object over the same NAND + allocator state.
   index::RhikIndex revived(&nand, &alloc, cfg, 1 << 20);
-  ASSERT_EQ(revived.load_directory(dir_image), Status::kOk);
+  ASSERT_EQ(revived.load_image(dir_image), Status::kOk);
   EXPECT_EQ(revived.size(), ref.size());
   for (const auto& [id, v] : ref) {
     const Bytes k = workload::key_for_id(id, 16);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <unordered_map>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/sim_clock.hpp"
@@ -220,10 +221,10 @@ TEST(Rhik, DirectorySerializationRestoresIndex) {
       if (ok(index.put(sig, i))) ref[sig] = i;
     }
     ASSERT_EQ(index.flush(), Status::kOk);
-    image = index.serialize_directory();
+    ASSERT_EQ(index.serialize_image(image), Status::kOk);
   }
   RhikIndex restored(&nand, &alloc, cfg, 1 << 20);
-  ASSERT_EQ(restored.load_directory(image), Status::kOk);
+  ASSERT_EQ(restored.load_image(image), Status::kOk);
   EXPECT_EQ(restored.size(), ref.size());
   for (const auto& [sig, ppa] : ref) {
     ASSERT_TRUE(restored.get(sig).has_value()) << sig;
@@ -231,12 +232,47 @@ TEST(Rhik, DirectorySerializationRestoresIndex) {
   }
 }
 
+TEST(Rhik, ProgramsOnlyRecordPages) {
+  // The directory is persisted only as serialize_image's payload (the
+  // device checkpoint writes it): past a thousand write-backs and a
+  // flush(), every page the index programmed is a record page.
+  RhikConfig cfg;
+  cfg.anticipated_keys = 240 * 8;  // 8 buckets, no resize at 600 keys
+  Rig rig(cfg, /*cache_bytes=*/4096);  // one page: bucket switches write back
+  Rng rng(5);
+  std::vector<std::uint64_t> sigs;
+  for (int i = 0; i < 600; ++i) {
+    sigs.push_back(rng.next());
+    ASSERT_EQ(rig.index.put(sigs.back(), i), Status::kOk);
+  }
+  for (std::uint64_t i = 0; rig.index.op_stats().flash_writes <= 1100; ++i) {
+    rig.maybe_gc();
+    ASSERT_EQ(rig.index.put(sigs[i % sigs.size()], i), Status::kOk);
+  }
+  ASSERT_EQ(rig.index.flush(), Status::kOk);
+  rig.expect_no_lost_writebacks();
+  EXPECT_EQ(rig.index.resize_history().size(), 0u);
+
+  const auto& g = rig.nand.geometry();
+  Bytes spare(g.spare_size());
+  std::uint64_t programmed = 0;
+  for (Ppa p = 0; p < g.pages_total(); ++p) {
+    if (!rig.nand.is_programmed(p)) continue;
+    ++programmed;
+    ASSERT_EQ(rig.nand.read_page(p, {}, spare), Status::kOk);
+    EXPECT_EQ(ftl::SpareTag::decode(spare).kind, ftl::PageKind::kIndexRecord)
+        << "page " << p;
+  }
+  EXPECT_GT(programmed, 0u);
+  EXPECT_EQ(rig.nand.stats().page_programs, rig.index.op_stats().flash_writes);
+}
+
 TEST(Rhik, LoadDirectoryRejectsGarbage) {
   Rig rig;
   Bytes garbage(100, 0x7);
-  EXPECT_EQ(rig.index.load_directory(garbage), Status::kCorruption);
+  EXPECT_EQ(rig.index.load_image(garbage), Status::kCorruption);
   Bytes tiny_buf(4, 0);
-  EXPECT_EQ(rig.index.load_directory(tiny_buf), Status::kCorruption);
+  EXPECT_EQ(rig.index.load_image(tiny_buf), Status::kCorruption);
 }
 
 TEST(Rhik, DramBytesTracksDirectory) {

@@ -178,10 +178,10 @@ TEST(RhikOverflow, SerializationRoundTripsOverflowDirectory) {
     ASSERT_GT(index.op_stats().overflow_inserts, 0u);
     ASSERT_EQ(index.flush(), Status::kOk);
     EXPECT_GT(index.overflow_pages(), 0u);
-    image = index.serialize_directory();
+    ASSERT_EQ(index.serialize_image(image), Status::kOk);
   }
   RhikIndex restored(&nand, &alloc, cfg, 1 << 20);
-  ASSERT_EQ(restored.load_directory(image), Status::kOk);
+  ASSERT_EQ(restored.load_image(image), Status::kOk);
   EXPECT_EQ(restored.size(), ref.size());
   for (const auto& [sig, ppa] : ref) {
     ASSERT_TRUE(restored.get(sig).has_value()) << sig;

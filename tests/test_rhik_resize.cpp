@@ -137,9 +137,7 @@ TEST(RhikResize, MigrationNeverTouchesKvPairs) {
   for (Ppa p = 0; p < g.pages_total(); ++p) {
     if (!rig.nand.is_programmed(p)) continue;
     ASSERT_EQ(rig.nand.read_page(p, {}, spare), Status::kOk);
-    const auto tag = ftl::SpareTag::decode(spare);
-    EXPECT_TRUE(tag.kind == ftl::PageKind::kIndexRecord ||
-                tag.kind == ftl::PageKind::kIndexDir);
+    EXPECT_EQ(ftl::SpareTag::decode(spare).kind, ftl::PageKind::kIndexRecord);
   }
 }
 
@@ -326,7 +324,8 @@ TEST(RhikResize, ReplayRejectedRepointAfterMigrateForcesFullScan) {
   Rng rng(17);
   while (rig.index.size() < 150) rig.index.put(rng.next(), rig.index.size());
   ASSERT_EQ(rig.index.flush(), Status::kOk);
-  const Bytes image0 = rig.index.serialize_directory();  // gen 0, bits 0
+  Bytes image0;  // gen 0, bits 0
+  ASSERT_EQ(rig.index.serialize_image(image0), Status::kOk);
 
   // Grow through one full doubling so genuine new-generation record
   // pages exist on flash to stand in for P2.
@@ -334,7 +333,8 @@ TEST(RhikResize, ReplayRejectedRepointAfterMigrateForcesFullScan) {
   drain_migration(rig);
   ASSERT_EQ(rig.index.flush(), Status::kOk);
   ASSERT_EQ(rig.index.dir_bits(), 1u);
-  const Bytes image1 = rig.index.serialize_directory();  // gen 1, bits 1
+  Bytes image1;  // gen 1, bits 1
+  ASSERT_EQ(rig.index.serialize_image(image1), Status::kOk);
   const Ppa target = get_u40(image1, 20);  // new-gen bucket 0 record page
   ASSERT_NE(target, flash::kInvalidPpa);
 
